@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -25,15 +24,11 @@ from .spectral import QuadratureError
 
 EXIT_PASS, EXIT_CONFIG, EXIT_CHECK_FAIL, EXIT_NUMERICAL = 0, 1, 2, 3
 
-_SCHEMA_PATH = Path(__file__).resolve().parents[2] / "docs" / "config.schema.json"
-_FALLBACK_SCHEMA = Path(__file__).resolve().parent / "config.schema.json"
+_SCHEMA_PATH = Path(__file__).resolve().parent / "config.schema.json"
 
 
 def _load_schema() -> dict:
-    for p in (_SCHEMA_PATH, _FALLBACK_SCHEMA):
-        if p.exists():
-            return json.loads(p.read_text())
-    raise FileNotFoundError("config.schema.json not found")
+    return json.loads(_SCHEMA_PATH.read_text())
 
 
 def _fmt(x) -> str:
@@ -47,10 +42,9 @@ def _fmt(x) -> str:
 class Emitter:
     """CSV writer with config-hash side-car metadata."""
 
-    def __init__(self, out_dir: Path, config_hash: str, threads: int):
+    def __init__(self, out_dir: Path, config_hash: str):
         self.out_dir = out_dir
-        self.meta = {"config_sha256": config_hash, "version": __version__,
-                     "threads": threads}
+        self.meta = {"config_sha256": config_hash, "version": __version__}
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def emit(self, name: str, header: list[str], rows) -> Path:
@@ -362,7 +356,7 @@ _COMMANDS = {
 }
 
 
-def run(config_path: str, out_dir: str | None = None, threads: int | None = None,
+def run(config_path: str, out_dir: str | None = None,
         command: str | None = None) -> int:
     """Execute one configured pipeline; returns the exit code."""
     try:
@@ -385,12 +379,10 @@ def run(config_path: str, out_dir: str | None = None, threads: int | None = None
               f"command {cfg['command']!r}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if threads is None:
-        threads = int(os.environ.get("SCREENWAVE_THREADS", "1"))
     out = Path(out_dir) if out_dir else Path(cfg.get("out", "."))
     digest = hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()
-    emit = Emitter(out, digest, threads)
+    emit = Emitter(out, digest)
 
     try:
         ok, lines = _COMMANDS[cfg["command"]](cfg, emit)
@@ -411,11 +403,9 @@ def main(argv=None) -> int:
         description="Helmholtz scattering by planar screens and apertures")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
-    return run(args.config, out_dir=args.out, threads=args.threads,
-               command=args.command)
+    return run(args.config, out_dir=args.out, command=args.command)
 
 
 if __name__ == "__main__":

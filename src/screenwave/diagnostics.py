@@ -265,10 +265,7 @@ def sharpness_S(screen: Screen, k_grid, elements_per_wavelength: float = 10.0,
         sys_ = assemble_single_layer(mesh, ctx, tol)
         pts = mesh.dof_points
         bump = _bump_values(pts, screen)
-        if mesh.dim_screen == 1:
-            c = np.exp(1j * k * pts[:, 0]) * bump
-        else:
-            c = np.exp(1j * k * pts[:, 0]) * bump
+        c = np.exp(1j * k * pts[:, 0]) * bump
         num = discrete_dual_norm(sys_.matrix @ c, sys_.gram_minus)
         den = sys_.gram_minus.norm(c)
         ratios.append(num / den)

@@ -15,6 +15,7 @@ Oracle paths are deliberately slower and meant for small meshes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -30,15 +31,28 @@ from .spectral.rules import gauss_panels, split_interval
 
 @dataclass
 class GalerkinSystem:
-    """Pairing matrix with its wavenumber context and Gram companions."""
+    """Pairing matrix with its wavenumber context and Gram companions.
+
+    The Gram matrices are built on first read: a solve never needs them.
+    """
 
     kind: str                    # "single_layer" | "hypersingular"
     matrix: np.ndarray           # complex symmetric, A[i,j] = a(phi_j, phi_i)
     mesh: Mesh
     ctx: WaveContext
-    gram_minus: GramMatrix       # s = -1/2
-    gram_plus: GramMatrix | None # s = +1/2 (P1 systems only)
     tol: float
+
+    @functools.cached_property
+    def gram_minus(self) -> GramMatrix:
+        """H^{-1/2}_k Gram matrix of the mesh basis."""
+        return gram(self.mesh, -0.5, self.ctx, tol=self.tol)
+
+    @functools.cached_property
+    def gram_plus(self) -> GramMatrix | None:
+        """H^{+1/2}_k Gram matrix (hypersingular systems only, else None)."""
+        if self.kind != "hypersingular":
+            return None
+        return gram(self.mesh, +0.5, self.ctx, tol=self.tol)
 
     def quadratic_form(self, c: np.ndarray) -> complex:
         """a(phi_c, phi_c) with explicit conjugation of the test coefficients."""
@@ -56,8 +70,7 @@ def assemble_single_layer(mesh: Mesh, ctx: WaveContext,
     if mesh.basis_kind != "P0":
         raise ValueError("single-layer systems are discretized with P0 bases")
     A = assemble(single_layer(ctx.k), mesh_dof_factors(mesh), tol=tol)
-    gm = gram(mesh, -0.5, ctx, tol=tol)
-    return GalerkinSystem("single_layer", A, mesh, ctx, gm, None, tol)
+    return GalerkinSystem("single_layer", A, mesh, ctx, tol)
 
 
 def assemble_hypersingular(mesh: Mesh, ctx: WaveContext,
@@ -69,9 +82,7 @@ def assemble_hypersingular(mesh: Mesh, ctx: WaveContext,
             "the P0 integrand has a non-integrable tail"
         )
     B = assemble(hypersingular(ctx.k), mesh_dof_factors(mesh), tol=tol)
-    gm = gram(mesh, -0.5, ctx, tol=tol)
-    gp = gram(mesh, +0.5, ctx, tol=tol)
-    return GalerkinSystem("hypersingular", B, mesh, ctx, gm, gp, tol)
+    return GalerkinSystem("hypersingular", B, mesh, ctx, tol)
 
 
 def maue_oracle_hypersingular(mesh: Mesh, ctx: WaveContext,

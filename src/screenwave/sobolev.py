@@ -122,7 +122,7 @@ def hsk_norm(density: Density, s: float, ctx: WaveContext,
              gram_matrix: GramMatrix | None = None, tol: float = 1e-10) -> float:
     """H^s_k norm of the extended-by-zero mesh function."""
     G = gram_matrix if gram_matrix is not None else gram(density.mesh, s, ctx, tol)
-    if G.mesh is not density.mesh and G.entries.shape[0] != density.mesh.n_dofs:
+    if G.mesh is not density.mesh or G.entries.shape[0] != density.mesh.n_dofs:
         raise ValueError("hsk_norm: Gram matrix belongs to a different mesh")
     return G.norm(density.coefficients)
 

@@ -231,29 +231,34 @@ def _element_rule(mesh: Mesh, k: float):
 
 
 def _density_quad_points(sol: Solution):
-    """All element quadrature points with density values and weights."""
+    """All element quadrature points with density values and weights.
+
+    A P1 element carries the hats of its 2^d corner nodes, found by (box,
+    node index); corners on a box boundary carry no dof.
+    """
     mesh = sol.density.mesh
     offs, ww = _element_rule(mesh, sol.ctx.k)
-    pts_all, val_all, w_all = [], [], []
     c = sol.density.coefficients
-    for e in range(mesh.n_elements):
-        origin = mesh.element_center[e] - mesh.h / 2.0
-        pts = origin + offs
-        if mesh.basis_kind == "P0":
-            vals = np.full(pts.shape[0], c[e])
-        else:
-            vals = np.zeros(pts.shape[0], dtype=complex)
-            for j in range(mesh.n_dofs):
-                if np.all(np.abs(mesh.dof_points[j] - mesh.element_center[e])
-                          <= mesh.h * 0.5 + 1e-12):
-                    hat = np.prod(1.0 - np.abs(pts - mesh.dof_points[j]) / mesh.h,
-                                  axis=1)
-                    vals += c[j] * hat
-        pts_all.append(pts)
-        val_all.append(vals)
-        w_all.append(ww)
-    return (np.concatenate(pts_all), np.concatenate(val_all),
-            np.concatenate(w_all))
+    origins = mesh.element_center - mesh.h / 2.0
+    pts = origins[:, None, :] + offs[None, :, :]
+    if mesh.basis_kind == "P0":
+        vals = np.repeat(c[:, None], offs.shape[0], axis=1)
+    else:
+        lo = mesh.screen.lo
+        node = np.rint((mesh.dof_points - lo[mesh.dof_box]) / mesh.h).astype(int)
+        dof_at = {(b, *n): j for j, (b, n) in
+                  enumerate(zip(mesh.dof_box, node.tolist()))}
+        first = np.rint((origins - lo[mesh.element_box]) / mesh.h).astype(int)
+        vals = np.zeros(pts.shape[:2], dtype=complex)
+        for corner in np.ndindex(*(2,) * mesh.dim_screen):
+            j = np.array([dof_at.get((b, *n), -1) for b, n in
+                          zip(mesh.element_box, (first + corner).tolist())])
+            e = np.nonzero(j >= 0)[0]
+            hat = np.prod(1.0 - np.abs(pts[e] - mesh.dof_points[j[e], None, :]) / mesh.h,
+                          axis=2)
+            vals[e] += c[j[e], None] * hat
+    return (pts.reshape(-1, mesh.dim_screen), vals.ravel(),
+            np.tile(ww, mesh.n_elements))
 
 
 def eval_field(sol: Solution, points) -> np.ndarray:

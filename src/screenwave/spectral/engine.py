@@ -13,7 +13,6 @@ in :mod:`screenwave.spectral.tails`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -119,22 +118,18 @@ def basis_ft(factors, xi) -> np.ndarray:
     return out
 
 
-def _check_integrable(kind: SymbolKind, dofs_row, dofs_col, dim: int) -> None:
-    def axis_q(f: AxisFactor) -> int:
-        return f.exp_terms()[0]
+def _family_constants(dofs) -> tuple[list[int], list[float], float]:
+    """Per axis, the smallest decay order p and largest amplitude sum |a_t| of
+    the dofs' large-|xi| forms; and their largest frequency |w_t| over all axes.
 
-    if dim == 1:
-        q_min = min(axis_q(f[0]) + axis_q(g[0]) for f in dofs_row for g in dofs_col)
-    else:
-        q_min = min(
-            min(axis_q(f[a]) + axis_q(g[a]) for a in range(2))
-            for f in dofs_row for g in dofs_col
-        )
-    if kind.growth - q_min >= -1.0:
-        raise ValueError(
-            f"non-integrable symbol integrand: growth {kind.growth:+g} against "
-            f"basis decay {q_min} (e.g. hypersingular symbol with a P0 basis)"
-        )
+    p and sum |a_t| depend only on the factor kind and h, so their extremes
+    over all (row, col) pairs follow from one pass over each family.
+    """
+    per_axis = [[dof[a].exp_terms() for dof in dofs] for a in range(len(dofs[0]))]
+    q = [min(p for p, _ in ax) for ax in per_axis]
+    amp = [max(sum(abs(c) for c, _ in terms) for _, terms in ax) for ax in per_axis]
+    omega = max(abs(w) for ax in per_axis for _, terms in ax for _, w in terms)
+    return q, amp, omega
 
 
 @dataclass
@@ -167,53 +162,109 @@ class SymbolQuadrature:
     _plan: object = field(repr=False, default=None)
 
 
-class _Plan1D:
-    """Shared state for 1-D (n=2) assemblies."""
+class _Plan:
+    """Rule, split radius X, series order and tail state for one
+    (symbol, row dofs, col dofs, tol, variant).
 
-    def __init__(self, kind, dofs_row, dofs_col, tol, var: _Variant):
-        self.kind = kind
+    The only code that checks integrability, picks X and the rule, chooses
+    the series order and certifies the tail bound.  ``assemble`` and
+    ``build_quadrature`` build one; ``symbol_integral`` reuses its
+    quadrature's.
+    """
+
+    def __init__(self, kind: SymbolKind, dofs_row, dofs_col, tol: float,
+                 variant: int):
+        if tol <= 0:
+            raise ValueError("tolerance must be positive")
+        q_r, amp_r, om_r = _family_constants(dofs_row)
+        q_c, amp_c, om_c = _family_constants(dofs_col)
+        q_min = min(a + b for a, b in zip(q_r, q_c))
+        if kind.growth - q_min >= -1.0:
+            raise ValueError(
+                f"non-integrable symbol integrand: growth {kind.growth:+g} against "
+                f"basis decay {q_min} (e.g. hypersingular symbol with a P0 basis)"
+            )
+        var = _Variant.get(variant)
         k = kind.k
-        omegas = [abs(w) for f in itertools.chain(dofs_row, dofs_col)
-                  for _, terms in [f[0].exp_terms()] for _, w in terms]
-        self.omega = 2.0 * max(omegas) + 1.0
+        self.kind, self.tol, self.var = kind, tol, var
+        self.dim = len(q_r)
+        self.omega = 2.0 * max(om_r, om_c) + 1.0
         self.X = max(2.5 * k, 40.0) * var.x_fact
-        self.rho, self.w, self.panels = radial_rule(
-            kind, k, self.X, self.omega, order=var.order, scale=var.scale)
-        # sigma series order from per-pair envelope bound
-        q_min = min(f[0].exp_terms()[0] + g[0].exp_terms()[0]
-                    for f in dofs_row for g in dofs_col)
-        env = max(_pair_env_sum(f[0], g[0]) for f in dofs_row for g in dofs_col)
+        if self.dim == 1:
+            self.rho, self.w, self.panels = radial_rule(
+                kind, k, self.X, self.omega, order=var.order, scale=var.scale)
+            self.n_theta = 0
+            env = amp_r[0] * amp_c[0]
 
-        def env_of_p(p):
-            decay = q_min - p - 1.0
-            if decay <= 0.05:
-                raise QuadratureError(
-                    "symbol tail remainder nearly divergent against this basis")
-            return env * self.X ** (p - q_min + 1) / decay
+            def env_of_p(p):
+                decay = q_min - p - 1.0
+                if decay <= 0.05:
+                    raise QuadratureError(
+                        "symbol tail remainder nearly divergent against this basis")
+                return env * self.X ** (p - q_min + 1) / decay
+        else:
+            x1, y1, w1, self.panels, self.n_theta = _disk_rule(
+                kind, k, self.X, self.omega, math.sqrt(2.0) * self.omega,
+                var.order, var.scale)
+            x2, y2, w2 = _corner_rule(kind, k, self.X, self.omega, var.order, var.scale)
+            self.xi1 = np.concatenate([x1, x2])
+            self.xi2 = np.concatenate([y1, y2])
+            self.w = np.concatenate([w1, w2])
+            self.vgrid = VGrid.build(self.X, panels_per_decade=var.v_per_decade)
+            self.has_subtracted = kind.growth > 0.0
+            self._tables: dict = {}
+            self._abs_est: dict = {}
+            # envelope of the exterior integral <= X^p * absx * absy
+            abs_prod = max(self._abs_estimate(f[0]) for f in dofs_row) * \
+                max(self._abs_estimate(g[1]) for g in dofs_col)
 
-        self.M, self.rem_bound = _choose_series_order(kind, self.X, tol / 4.0,
-                                                      env_of_p)
+            def env_of_p(p):
+                return abs_prod * self.X ** p
+        self.M, rem_bound = _choose_series_order(kind, self.X, tol / 4.0, env_of_p)
         self.sigma_terms = symbol_series(kind, self.M)
-        self._tail_cache: dict = {}
+        # n=2: the expint tails are exact.  n=3, per entry: two axis models
+        # (tol/8 each, enforced inside required_axis_Y) + v-grid completions
+        # (tol/8 slack)
+        self.tail_bound = rem_bound if self.dim == 1 else rem_bound + tol * 0.375
+        if self.tail_bound > tol:
+            raise QuadratureError(
+                f"requested tolerance {tol:g} unachievable "
+                f"(certified bound {self.tail_bound:g})"
+            )
 
-    def pair_tail(self, f: AxisFactor, g: AxisFactor) -> complex:
+    def _abs_estimate(self, f: AxisFactor) -> float:
+        key = (f.kind, f.h)
+        hit = self._abs_est.get(key)
+        if hit is None:
+            xi, w = gauss_panels(split_interval(0.0, 60.0 / f.h, 0.5), 8)
+            hit = 2.0 * float(np.sum(w * np.abs(f.value(xi)))) + 0.1 * f.h
+            self._abs_est[key] = hit
+        return hit
+
+    def axis_table(self, f: AxisFactor, g: AxisFactor, other_abs: float) -> AxisTable:
         key = (f.kind, g.kind, f.h, g.h, round(f.center - g.center, 12))
-        hit = self._tail_cache.get(key)
+        hit = self._tables.get(key)
         if hit is not None:
             return hit
         prof = pair_profile(f, g)
-        val = 0.0j
-        for coef, p in self.sigma_terms:
-            if coef != 0.0:
-                val += coef * profile_tail(prof, p, self.X)
-        self._tail_cache[key] = val
-        return val
+        budget = self.tol / 8.0
+        Y = required_axis_Y(prof, other_abs, budget, self.has_subtracted)
+        tab = build_axis_table(prof, self.X, Y, self.omega, self.vgrid,
+                               order=self.var.order, scale=self.var.scale)
+        self._tables[key] = tab
+        return tab
 
-
-def _pair_env_sum(f: AxisFactor, g: AxisFactor) -> float:
-    _, tf = f.exp_terms()
-    _, tg = g.exp_terms()
-    return sum(abs(a) for a, _ in tf) * sum(abs(a) for a, _ in tg)
+    def pair_tail(self, fd, gd) -> complex:
+        """Part of one entry beyond the finite rule: |xi| > X (n=2) or the
+        exterior of the square max|xi_i| > X (n=3)."""
+        if self.dim == 1:
+            prof = pair_profile(fd[0], gd[0])
+            return sum(coef * profile_tail(prof, p, self.X)
+                       for coef, p in self.sigma_terms if coef != 0.0)
+        ax = self.axis_table(fd[0], gd[0], self._abs_estimate(fd[1]))
+        ay = self.axis_table(fd[1], gd[1], self._abs_estimate(fd[0]))
+        return sum(coef * tensor_tail_term(p, ax, ay, self.vgrid)
+                   for coef, p in self.sigma_terms if coef != 0.0)
 
 
 def _choose_series_order(kind, X, budget, env_of_p, m_cap: int = 60):
@@ -228,30 +279,46 @@ def _choose_series_order(kind, X, budget, env_of_p, m_cap: int = 60):
     raise QuadratureError("symbol tail series cannot reach the requested tolerance")
 
 
-def _assemble_1d(kind, dofs_row, dofs_col, tol, var: _Variant,
-                 plan: _Plan1D | None = None):
-    plan = plan or _Plan1D(kind, dofs_row, dofs_col, tol, var)
-    rho, w = plan.rho, plan.w
-    Vr = np.empty((len(dofs_row), rho.size), dtype=complex)
-    for i, f in enumerate(dofs_row):
-        Vr[i] = f[0].value(rho)
+def _add_tails(out: np.ndarray, plan: _Plan, dofs_row, dofs_col) -> None:
+    """out[i, j] += plan.pair_tail(row i, col j), one call per distinct key.
+
+    A tail depends only on each axis's factor kinds, h and centre offset.  A
+    shared family keys the upper triangle and mirrors it.
+    """
     same = dofs_row is dofs_col
-    Vc = Vr if same else np.empty((len(dofs_col), rho.size), dtype=complex)
-    if not same:
-        for j, g in enumerate(dofs_col):
-            Vc[j] = g[0].value(rho)
+    if same:
+        i, j = np.triu_indices(len(dofs_row))
+    else:
+        i, j = (a.ravel() for a in np.indices((len(dofs_row), len(dofs_col))))
+    codes: dict = {}
+    cols = []
+    for a in range(len(dofs_row[0])):
+        for dofs, idx in ((dofs_row, i), (dofs_col, j)):
+            kh = [codes.setdefault((dof[a].kind, dof[a].h), len(codes)) for dof in dofs]
+            cols.append(np.asarray(kh)[idx])
+        c_r = np.array([dof[a].center for dof in dofs_row])
+        c_c = np.array([dof[a].center for dof in dofs_col])
+        cols.append(np.round(c_r[i] - c_c[j], 12) + 0.0)   # + 0.0 folds -0.0 into 0.0
+    _, first, inverse = np.unique(np.column_stack(cols), axis=0,
+                                  return_index=True, return_inverse=True)
+    tails = np.array([plan.pair_tail(dofs_row[i[t]], dofs_col[j[t]])
+                      for t in first])[inverse.reshape(-1)]
+    out[i, j] += tails
+    if same:
+        off = i != j
+        out[j[off], i[off]] += tails[off]
+
+
+def _assemble_1d(plan: _Plan, dofs_row, dofs_col) -> np.ndarray:
+    rho, w = plan.rho, plan.w
+    Vr = np.array([f[0].value(rho) for f in dofs_row])
+    Vc = Vr if dofs_col is dofs_row else np.array([g[0].value(rho) for g in dofs_col])
     # int_0^X sigma * 2 Re(F_i conj F_j)
     A, B = Vr.real, Vr.imag
     C, D = Vc.real, Vc.imag
     out = 2.0 * ((A * w) @ C.T + (B * w) @ D.T)
-    for i, f in enumerate(dofs_row):
-        j0_ = i if same else 0
-        for j in range(j0_, len(dofs_col)):
-            t = plan.pair_tail(f[0], dofs_col[j][0])
-            out[i, j] += t
-            if same and j != i:
-                out[j, i] += t
-    return out, plan
+    _add_tails(out, plan, dofs_row, dofs_col)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -327,81 +394,7 @@ def _corner_rule(kind, k, X, omega, order, scale):
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(ws)
 
 
-class _Plan2D:
-    """Shared state for 2-D (n=3) assemblies."""
-
-    def __init__(self, kind, dofs_row, dofs_col, tol, var: _Variant):
-        self.kind = kind
-        k = kind.k
-        all_factors = [f for d in itertools.chain(dofs_row, dofs_col) for f in d]
-        omegas = [abs(w) for f in all_factors for _, w in f.exp_terms()[1]]
-        self.omega = 2.0 * max(omegas) + 1.0
-        nu_rad = math.sqrt(2.0) * self.omega
-        self.X = max(2.5 * k, 40.0) * var.x_fact
-        x1, y1, w1, self.panels, self.n_theta = _disk_rule(
-            kind, k, self.X, self.omega, nu_rad, var.order, var.scale)
-        x2, y2, w2 = _corner_rule(kind, k, self.X, self.omega, var.order, var.scale)
-        self.xi1 = np.concatenate([x1, x2])
-        self.xi2 = np.concatenate([y1, y2])
-        self.w = np.concatenate([w1, w2])
-        self.vgrid = VGrid.build(self.X, panels_per_decade=var.v_per_decade)
-        self.var = var
-        self.tol = tol
-        self._tables: dict = {}
-        self._abs_est: dict = {}
-        self._tail_cache: dict = {}
-
-        # sigma series order: envelope of ext integral <= X^p * absx * absy
-        abs_prod = max(self._abs_estimate(f[0]) for f in dofs_row) * \
-            max(self._abs_estimate(g[1]) for g in dofs_col)
-        self.has_subtracted = kind.growth > 0.0
-        self.M, self.rem_bound = _choose_series_order(
-            kind, self.X, tol / 4.0, lambda p: abs_prod * self.X ** p)
-        self.sigma_terms = symbol_series(kind, self.M)
-        self.model_bound = 0.0
-
-    def _abs_estimate(self, f: AxisFactor) -> float:
-        key = (f.kind, f.h)
-        hit = self._abs_est.get(key)
-        if hit is None:
-            xi, w = gauss_panels(split_interval(0.0, 60.0 / f.h, 0.5), 8)
-            hit = 2.0 * float(np.sum(w * np.abs(f.value(xi)))) + 0.1 * f.h
-            self._abs_est[key] = hit
-        return hit
-
-    def axis_table(self, f: AxisFactor, g: AxisFactor, other_abs: float) -> AxisTable:
-        key = (f.kind, g.kind, f.h, g.h, round(f.center - g.center, 12))
-        hit = self._tables.get(key)
-        if hit is not None:
-            return hit
-        prof = pair_profile(f, g)
-        budget = self.tol / 8.0
-        Y = required_axis_Y(prof, other_abs, budget, self.has_subtracted)
-        tab = build_axis_table(prof, self.X, Y, self.omega, self.vgrid,
-                               order=self.var.order, scale=self.var.scale)
-        self.model_bound += budget
-        self._tables[key] = tab
-        return tab
-
-    def pair_tail(self, fd, gd) -> float:
-        key = tuple((a.kind, b.kind, a.h, b.h, round(a.center - b.center, 12))
-                    for a, b in zip(fd, gd))
-        hit = self._tail_cache.get(key)
-        if hit is not None:
-            return hit
-        ax = self.axis_table(fd[0], gd[0], self._abs_estimate(fd[1]))
-        ay = self.axis_table(fd[1], gd[1], self._abs_estimate(fd[0]))
-        val = 0.0
-        for coef, p in self.sigma_terms:
-            if coef != 0.0:
-                val += coef * tensor_tail_term(p, ax, ay, self.vgrid)
-        self._tail_cache[key] = val
-        return val
-
-
-def _assemble_2d(kind, dofs_row, dofs_col, tol, var: _Variant,
-                 plan: _Plan2D | None = None):
-    plan = plan or _Plan2D(kind, dofs_row, dofs_col, tol, var)
+def _assemble_2d(plan: _Plan, dofs_row, dofs_col) -> np.ndarray:
     xi1, xi2, w = plan.xi1, plan.xi2, plan.w
     fcache: dict = {}
 
@@ -422,19 +415,16 @@ def _assemble_2d(kind, dofs_row, dofs_col, tol, var: _Variant,
     Vr = values(dofs_row)
     same = dofs_row is dofs_col
     Vc = Vr if same else values(dofs_col)
-    out = np.empty((len(dofs_row), len(dofs_col)), dtype=complex)
-    Wc = (Vc.conj() * w)
-    out[:] = Vr @ Wc.T
-    for i, fd in enumerate(dofs_row):
-        j0_ = i if same else 0
-        for j in range(j0_, len(dofs_col)):
-            t = plan.pair_tail(fd, dofs_col[j])
-            out[i, j] += t
-            if same and j != i:
-                out[j, i] += t
+    out = Vr @ (Vc.conj() * w).T
+    _add_tails(out, plan, dofs_row, dofs_col)
     if same:
         out = 0.5 * (out + out.T)   # the finite part is symmetric to rounding
-    return out, plan
+    return out
+
+
+def _block(plan: _Plan, dofs_row, dofs_col) -> np.ndarray:
+    assemble_dim = _assemble_1d if plan.dim == 1 else _assemble_2d
+    return assemble_dim(plan, dofs_row, dofs_col)
 
 
 # ---------------------------------------------------------------------------
@@ -445,41 +435,18 @@ def assemble(kind: SymbolKind, dofs_row, dofs_col=None, tol: float = 1e-10,
     """Matrix of symbol integrals for two dof families (shared if col=None)."""
     if dofs_col is None:
         dofs_col = dofs_row
-    dim = len(dofs_row[0])
-    _check_integrable(kind, dofs_row, dofs_col, dim)
-    var = _Variant.get(variant)
-    if dim == 1:
-        out, _ = _assemble_1d(kind, dofs_row, dofs_col, tol, var)
-    else:
-        out, _ = _assemble_2d(kind, dofs_row, dofs_col, tol, var)
-    return out
+    return _block(_Plan(kind, dofs_row, dofs_col, tol, variant), dofs_row, dofs_col)
 
 
 def build_quadrature(kind: SymbolKind, mesh: Mesh, tol: float = 1e-10,
                      variant: int = 0) -> SymbolQuadrature:
     """Validate integrability and prebuild the rule + tail plan for a mesh."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     dofs = mesh_dof_factors(mesh)
-    _check_integrable(kind, dofs, dofs, mesh.dim_screen)
-    var = _Variant.get(variant)
-    if mesh.dim_screen == 1:
-        plan = _Plan1D(kind, dofs, dofs, tol, var)
-        panels, n_theta = plan.panels, 0
-        bound = plan.rem_bound          # expint tails are exact
-    else:
-        plan = _Plan2D(kind, dofs, dofs, tol, var)
-        panels, n_theta = plan.panels, plan.n_theta
-        # per-entry: series remainder + two axis models (tol/8 each, enforced
-        # inside required_axis_Y) + v-grid completions (tol/8 slack)
-        bound = plan.rem_bound + tol * 0.375
-    if bound > tol:
-        raise QuadratureError(
-            f"requested tolerance {tol:g} unachievable (certified bound {bound:g})"
-        )
+    plan = _Plan(kind, dofs, dofs, tol, variant)
     return SymbolQuadrature(kind=kind, mesh=mesh, k=kind.k,
-                            xi_max=plan.X, panels=panels, n_theta=n_theta,
-                            tail_bound=bound, tol=tol, _dofs=dofs, _plan=plan)
+                            xi_max=plan.X, panels=plan.panels, n_theta=plan.n_theta,
+                            tail_bound=plan.tail_bound, tol=tol, _dofs=dofs,
+                            _plan=plan)
 
 
 def symbol_integral(kind: SymbolKind, i: int, j: int,
@@ -487,17 +454,7 @@ def symbol_integral(kind: SymbolKind, i: int, j: int,
     """One entry int sigma fhat_i conj(fhat_j) using a prebuilt rule."""
     if kind != quad.kind:
         raise ValueError("symbol kind does not match the prebuilt quadrature")
-    fd, gd = quad._dofs[i], quad._dofs[j]
-    plan = quad._plan
-    if quad.mesh.dim_screen == 1:
-        v_i = fd[0].value(plan.rho)
-        v_j = gd[0].value(plan.rho)
-        finite = np.sum(plan.w * 2.0 * np.real(v_i * np.conj(v_j)))
-        return complex(finite + plan.pair_tail(fd[0], gd[0]))
-    v_i = fd[0].value(plan.xi1) * fd[1].value(plan.xi2)
-    v_j = gd[0].value(plan.xi1) * gd[1].value(plan.xi2)
-    finite = np.sum(plan.w * v_i * np.conj(v_j))
-    return complex(finite + plan.pair_tail(fd, gd))
+    return complex(_block(quad._plan, [quad._dofs[i]], [quad._dofs[j]])[0, 0])
 
 
 def assemble_mesh_matrix(kind: SymbolKind, mesh: Mesh, tol: float = 1e-10,

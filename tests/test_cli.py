@@ -108,12 +108,12 @@ class TestRun:
 
 class TestEmitter:
     def test_header_only_for_empty_sweep(self, tmp_path):
-        em = Emitter(tmp_path, "deadbeef", 1)
+        em = Emitter(tmp_path, "deadbeef")
         p = em.emit("empty.csv", ["a", "b"], [])
         assert p.read_text() == "a,b\n"
 
     def test_float_round_trip(self, tmp_path):
-        em = Emitter(tmp_path, "deadbeef", 1)
+        em = Emitter(tmp_path, "deadbeef")
         vals = [np.pi, 1.0 / 3.0, 6.02214076e23]
         p = em.emit("vals.csv", ["x"], [(v,) for v in vals])
         back = [float(line) for line in p.read_text().strip().split("\n")[1:]]

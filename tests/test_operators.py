@@ -49,6 +49,35 @@ class TestSingleLayerAssembly:
         assert kappa <= bound * (1 + 1e-9)
 
 
+class TestLazyGrams:
+    @pytest.fixture()
+    def gram_calls(self, monkeypatch):
+        import screenwave.operators as ops
+
+        calls = []
+
+        def counting_gram(mesh, s, ctx, tol=1e-10):
+            calls.append(s)
+            return real_gram(mesh, s, ctx, tol)
+
+        real_gram = ops.gram
+        monkeypatch.setattr(ops, "gram", counting_gram)
+        return calls
+
+    def test_assembly_builds_no_gram(self, gram_calls, p0_mesh8, p1_mesh):
+        assemble_single_layer(p0_mesh8, WaveContext(5.0))
+        assemble_hypersingular(p1_mesh, WaveContext(3.0))
+        assert gram_calls == []
+
+    def test_each_gram_built_once_on_read(self, gram_calls, p0_mesh8, p1_mesh):
+        S = assemble_single_layer(p0_mesh8, WaveContext(5.0))
+        assert S.gram_minus is S.gram_minus
+        assert S.gram_plus is None
+        T = assemble_hypersingular(p1_mesh, WaveContext(3.0))
+        assert T.gram_plus is T.gram_plus
+        assert gram_calls == [-0.5, 0.5]
+
+
 class TestHypersingularAssembly:
     def test_requires_p1(self, p0_mesh8):
         with pytest.raises(ValueError, match="P1|non-integrable"):

@@ -119,6 +119,14 @@ class TestHskNorm:
         n2 = hsk_norm(Density(p0_mesh8, 2 * c), -0.5, ctx, G)
         assert n2 == pytest.approx(2 * n1, rel=1e-13)
 
+    def test_gram_of_other_mesh_rejected(self, p0_mesh8):
+        # same dof count, different mesh
+        other = build_mesh(make_screen(2, [(0.0, 2.0)]), 0.25, "P0")
+        ctx = WaveContext(2.0)
+        G = gram(other, -0.5, ctx)
+        with pytest.raises(ValueError, match="different mesh"):
+            hsk_norm(Density(p0_mesh8, np.ones(8)), -0.5, ctx, G)
+
     def test_norm_equivalence_constants(self, p0_mesh8, rng):
         # min{1,k^s} ||u||_{H^s_1} <= ||u||_{H^s_k} <= max{1,k^s} ||u||_{H^s_1}
         c = rng.standard_normal(8)

@@ -112,6 +112,22 @@ class TestEvalField:
         dn = eval_field(sol_S, [[0.5, -0.3]])
         assert up == pytest.approx(dn, rel=1e-14)
 
+    @pytest.mark.parametrize("screen", [
+        make_screen(2, [(0.0, 1.0)]),
+        make_screen(3, [((0.0, 0.0), (1.0, 0.5)), ((1.0, 0.0), (1.5, 0.5))]),
+    ])
+    def test_p1_density_at_quadrature_points(self, screen, ctx, rng):
+        from screenwave.geometry import basis_value
+        from screenwave.sobolev import Density
+        from screenwave.solver import Solution, _density_quad_points
+
+        mesh = build_mesh(screen, 0.125, "P1")
+        c = rng.standard_normal(mesh.n_dofs) + 1j * rng.standard_normal(mesh.n_dofs)
+        sol = Solution(Density(mesh, c), "T", ctx, None, None)
+        pts, vals, _ = _density_quad_points(sol)
+        ref = sum(c[j] * basis_value(mesh, j, pts) for j in range(mesh.n_dofs))
+        assert np.abs(vals - ref).max() <= 1e-14
+
     def test_dirichlet_residual_refinement(self, unit_interval, ctx):
         # trace residual of -S phi_N against g_D in the fine-mesh dual norm
         from screenwave.spectral import (assemble, mesh_dof_factors,

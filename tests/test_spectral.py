@@ -83,6 +83,18 @@ class TestBuildQuadrature:
         assert quad_.panels[1].lo == pytest.approx(5.0)   # cosh panel starts at k
         assert quad_.tail_bound <= 1e-8
 
+    @pytest.mark.parametrize("symbol, mesh_name, tail_bound, nodes", [
+        (single_layer(5.0), "p0_mesh8", 3.293879808069421e-13, [128, 176, 464]),
+        (hypersingular(4.0), "p1_mesh", 4.019064219492307e-12, [96, 144, 496]),
+    ])
+    def test_plan_values_pinned(self, request, symbol, mesh_name, tail_bound, nodes):
+        # X, panel node counts and the certified tail bound are exact functions
+        # of (symbol, mesh, tol): any change of plan arithmetic shows here
+        quad_ = build_quadrature(symbol, request.getfixturevalue(mesh_name))
+        assert quad_.xi_max == 40.0
+        assert [p.n_nodes for p in quad_.panels] == nodes
+        assert quad_.tail_bound == tail_bound
+
     def test_parseval_gram(self, p0_mesh8):
         quad_ = build_quadrature(bessel(2.0, 0.0), p0_mesh8, tol=1e-10)
         g00 = symbol_integral(bessel(2.0, 0.0), 0, 0, quad_)
