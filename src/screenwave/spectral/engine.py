@@ -23,7 +23,7 @@ from ..geometry import Mesh
 from .factors import AxisFactor, pair_profile
 from .rules import (PanelSpec, gauss_panels, radial_rule, sigma_plain,
                     split_interval)
-from .tails import (AxisTable, VGrid, build_axis_table, profile_tail,
+from .tails import (AxisTable, VGrid, build_axis_table, profile_tails,
                     required_axis_Y, symbol_series,
                     symbol_series_remainder, tensor_tail_term)
 
@@ -221,7 +221,8 @@ class _Plan:
             def env_of_p(p):
                 return abs_prod * self.X ** p
         self.M, rem_bound = _choose_series_order(kind, self.X, tol / 4.0, env_of_p)
-        self.sigma_terms = symbol_series(kind, self.M)
+        self.sigma_terms = [(coef, p) for coef, p in symbol_series(kind, self.M)
+                            if coef != 0.0]
         # n=2: the expint tails are exact.  n=3, per entry: two axis models
         # (tol/8 each, enforced inside required_axis_Y) + v-grid completions
         # (tol/8 slack)
@@ -254,17 +255,20 @@ class _Plan:
         self._tables[key] = tab
         return tab
 
-    def pair_tail(self, fd, gd) -> complex:
-        """Part of one entry beyond the finite rule: |xi| > X (n=2) or the
-        exterior of the square max|xi_i| > X (n=3)."""
+    def tails(self, pairs) -> np.ndarray:
+        """Part of each (row dof, col dof) entry beyond the finite rule:
+        |xi| > X (n=2, all pairs in one array pass) or the exterior of the
+        square max|xi_i| > X (n=3)."""
         if self.dim == 1:
-            prof = pair_profile(fd[0], gd[0])
-            return sum(coef * profile_tail(prof, p, self.X)
-                       for coef, p in self.sigma_terms if coef != 0.0)
-        ax = self.axis_table(fd[0], gd[0], self._abs_estimate(fd[1]))
-        ay = self.axis_table(fd[1], gd[1], self._abs_estimate(fd[0]))
-        return sum(coef * tensor_tail_term(p, ax, ay, self.vgrid)
-                   for coef, p in self.sigma_terms if coef != 0.0)
+            return profile_tails([pair_profile(fd[0], gd[0]) for fd, gd in pairs],
+                                 self.sigma_terms, self.X)
+        out = np.empty(len(pairs), dtype=complex)
+        for t, (fd, gd) in enumerate(pairs):
+            ax = self.axis_table(fd[0], gd[0], self._abs_estimate(fd[1]))
+            ay = self.axis_table(fd[1], gd[1], self._abs_estimate(fd[0]))
+            out[t] = sum(coef * tensor_tail_term(p, ax, ay, self.vgrid)
+                         for coef, p in self.sigma_terms)
+        return out
 
 
 def _choose_series_order(kind, X, budget, env_of_p, m_cap: int = 60):
@@ -280,7 +284,7 @@ def _choose_series_order(kind, X, budget, env_of_p, m_cap: int = 60):
 
 
 def _add_tails(out: np.ndarray, plan: _Plan, dofs_row, dofs_col) -> None:
-    """out[i, j] += plan.pair_tail(row i, col j), one call per distinct key.
+    """out[i, j] += tail of (row i, col j), computed once per distinct key.
 
     A tail depends only on each axis's factor kinds, h and centre offset.  A
     shared family keys the upper triangle and mirrors it.
@@ -301,8 +305,8 @@ def _add_tails(out: np.ndarray, plan: _Plan, dofs_row, dofs_col) -> None:
         cols.append(np.round(c_r[i] - c_c[j], 12) + 0.0)   # + 0.0 folds -0.0 into 0.0
     _, first, inverse = np.unique(np.column_stack(cols), axis=0,
                                   return_index=True, return_inverse=True)
-    tails = np.array([plan.pair_tail(dofs_row[i[t]], dofs_col[j[t]])
-                      for t in first])[inverse.reshape(-1)]
+    tails = plan.tails([(dofs_row[i[t]], dofs_col[j[t]])
+                        for t in first])[inverse.reshape(-1)]
     out[i, j] += tails
     if same:
         off = i != j

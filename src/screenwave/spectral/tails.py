@@ -5,8 +5,9 @@ Beyond a split radius X >= 2.5k the symbols admit geometric expansions in
 the basis-product factors the leftover integrals reduce to
 
 * n=2:  integrals  int_X^inf e^{i nu xi} xi^{-m} d xi  = X^{1-m} E_m(-i nu X),
-  evaluated through the generalized exponential integral (continued fraction
-  for |z| >= 8, mpmath below), and
+  evaluated through the generalized exponential integral (power series for
+  |z| < 1, long-double continued fraction beyond) in one array pass over
+  every term of every entry, and
 
 * n=3:  exterior-of-square integrals of |xi|^p * P(xi) for separable P,
   computed through the heat-kernel factorization
@@ -24,19 +25,86 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import binom, erfc, gammaln
+from scipy.special import binom, digamma, erfc, gammaln, zeta
 
 from .factors import PairProfile
 from .rules import gauss_panels, split_interval
 
-_EXPINT_CACHE: dict[tuple[float, float, float], complex] = {}
+# the series loses ~e^{|z|} ulps to cancellation; 1 keeps it below 6e-16
+_SERIES_RADIUS = 1.0
+_CF_EPS = 8.0 * float(np.finfo(np.longdouble).eps)
 
 
-def _expint_cf(m: float, z: complex, eps: float = 1e-15, maxiter: int = 400) -> complex:
-    """E_m(z) by modified Lentz continued fraction (good for |z| >= ~6)."""
+def _order_terms(m: float) -> tuple[float, float, float]:
+    """(n, e, g) for order m: n = max(1, round(m)), e = m - n and
+
+        g = (log Gamma(1-e) - sum_{j<n} log1p(e/j)) / e,   -psi(n) at e = 0.
+
+    Below |e| = 1/4, g is summed from the series in e of DLMF 5.7.3 and of
+    log1p, whose coefficients are zeta(k) +- H_{n-1}^{(k)}: it keeps its
+    relative accuracy as m nears an integer, where the direct quotient
+    would not.
+    """
+    n = max(1.0, math.floor(m + 0.5))
+    e = m - n
+    if abs(e) >= 0.25:
+        return n, e, (gammaln(1.0 - e)
+                      - sum(math.log1p(e / j) for j in range(1, int(n)))) / e
+    g, ek = -digamma(n), e
+    for k in range(2, 30):
+        g += (zeta(k, n) if k % 2 else 2.0 * zeta(k) - zeta(k, n)) * ek / k
+        ek *= e
+    return n, e, g
+
+
+def _expint_series(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """E_m(z) by the DLMF 8.19.8/8.19.10 power series (good for |z| < ~1).
+
+    With n, e and g from ``_order_terms``,
+
+        E_m(z) = G - sum_{k >= 0, k != n-1} (-z)^k / (k! (k+1-m)),
+
+    where G joins Gamma(1-m) z^{m-1} to the k = n-1 term, whose denominator
+    -e vanishes as m nears an integer:
+
+        G = -(-z)^{n-1}/(n-1)! * expm1(e (log z + g)) / e.
+
+    At e = 0 the quotient is log z - psi(n), which is 8.19.8 for integer m.
+    """
+    orders, inverse = np.unique(m, return_inverse=True)
+    n, e, g = np.array([_order_terms(v) for v in orders])[inverse.reshape(-1)].T
+    logz = np.log(z)
+    safe_e = np.where(e == 0.0, 1.0, e)
+    ratio = np.where(e == 0.0, logz + g, np.expm1(e * (logz + g)) / safe_e)
+
+    term = np.ones_like(z)            # (-z)^k / k!
+    pole = np.zeros_like(z)           # (-z)^{n-1} / (n-1)!
+    total = np.zeros_like(z)
+    k = 0
+    while True:
+        at_pole = k == n - 1.0
+        pole = np.where(at_pole, term, pole)
+        total = total + np.where(at_pole, 0.0, term / np.where(at_pole, 1.0, k + 1.0 - m))
+        k += 1
+        term = term * (-z / k)
+        if k >= n.max() and np.max(np.abs(term)) < 1e-18:
+            return -pole * ratio - total
+
+
+def _expint_cf(m: np.ndarray, z: np.ndarray, maxiter: int = 400) -> np.ndarray:
+    """E_m(z) by modified Lentz continued fraction (good for |z| >= ~1).
+
+    All arguments iterate together; each leaves the batch as it converges.
+    The iteration runs in long double: in double its rounding leaves
+    ~1e-14 relative at |z| = 1, which the near-cancelling profile sums of
+    P1 tails (fourth differences in nu) amplify a thousandfold.
+    """
+    m = m.astype(np.longdouble)
+    z = z.astype(np.clongdouble)
+    out = np.empty(z.shape, dtype=complex)
+    idx = np.arange(z.size)
     b = z + m
-    tiny = 1e-300
-    c = 1.0 / tiny
+    c = np.full(z.shape, 1e300, dtype=np.clongdouble)   # 1 / tiny
     d = 1.0 / b
     h = d
     for i in range(1, maxiter):
@@ -46,46 +114,72 @@ def _expint_cf(m: float, z: complex, eps: float = 1e-15, maxiter: int = 400) -> 
         c = b + a / c
         delta = c * d
         h = h * delta
-        if abs(delta - 1.0) < eps:
-            return h * np.exp(-z)
-    return h * np.exp(-z)
+        done = np.abs(delta - 1.0) < _CF_EPS
+        out[idx[done]] = h[done] * np.exp(-z[done])
+        if done.all():
+            return out
+        live = ~done
+        idx, m, z, b, c, d, h = (x[live] for x in (idx, m, z, b, c, d, h))
+    out[idx] = h * np.exp(-z)
+    return out
 
 
-def expint(m: float, z: complex) -> complex:
-    """Generalized exponential integral E_m(z), complex z, real order m > 0."""
-    key = (float(m), float(np.real(z)), float(np.imag(z)))
-    hit = _EXPINT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if abs(z) >= 8.0:
-        val = _expint_cf(m, complex(z))
-    else:
-        import mpmath
+def expint(m, z) -> np.ndarray:
+    """Generalized exponential integral E_m(z), complex z, real order m > 0.
 
-        val = complex(mpmath.expint(m, complex(z)))
-    _EXPINT_CACHE[key] = val
-    return val
-
-
-def halfline_osc_integral(m: float, nu: float, X: float) -> complex:
-    """int_X^inf e^{i nu xi} xi^{-m} d xi  (m > 1 when nu == 0)."""
-    if nu == 0.0:
-        if m <= 1.0:
-            raise ValueError("halfline_osc_integral: divergent DC tail (m <= 1)")
-        return X ** (1.0 - m) / (m - 1.0) + 0.0j
-    return X ** (1.0 - m) * expint(m, -1j * nu * X)
+    Array-valued over broadcast (m, z): the power series below |z| = 1,
+    the continued fraction from there on.
+    """
+    m, z = np.broadcast_arrays(np.asarray(m, dtype=float),
+                               np.asarray(z, dtype=complex))
+    out = np.empty(z.shape, dtype=complex)
+    near = np.abs(z) < _SERIES_RADIUS
+    if near.any():
+        out[near] = _expint_series(m[near], z[near])
+    far = ~near
+    if far.any():
+        out[far] = _expint_cf(m[far], z[far])
+    return out
 
 
-def profile_tail(profile: PairProfile, p: float, X: float) -> complex:
-    """int_{|xi| > X} |xi|^p F(xi) d xi for F given by the profile expansion."""
-    q = profile.q
-    m = q - p
-    total = 0.0j
-    sgn = (-1.0) ** q
-    for c, nu in profile.terms:
-        total += c * (halfline_osc_integral(m, nu, X)
-                      + sgn * halfline_osc_integral(m, -nu, X))
-    return total
+def halfline_osc_integral(m, nu, X: float) -> np.ndarray:
+    """int_X^inf e^{i nu xi} xi^{-m} d xi over broadcast (m, nu); m > 1 where nu == 0."""
+    m, nu = np.broadcast_arrays(np.asarray(m, dtype=float),
+                                np.asarray(nu, dtype=float))
+    dc = nu == 0.0
+    if np.any(m[dc] <= 1.0):
+        raise ValueError("halfline_osc_integral: divergent DC tail (m <= 1)")
+    out = np.empty(m.shape, dtype=complex)
+    out[dc] = X ** (1.0 - m[dc]) / (m[dc] - 1.0)
+    osc = ~dc
+    out[osc] = X ** (1.0 - m[osc]) * expint(m[osc], -1j * nu[osc] * X)
+    return out
+
+
+def profile_tails(profiles, series, X: float) -> np.ndarray:
+    """sum_s coef_s int_{|xi| > X} |xi|^{p_s} F(xi) d xi for each profile F.
+
+    ``series`` holds the (coef_s, p_s) pairs.  The half-line integrals of
+    all profiles come from one ``halfline_osc_integral`` call, once per
+    distinct (q, nu), and are summed per profile.
+    """
+    coef = np.array([c for c, _ in series], dtype=float)
+    p = np.array([q for _, q in series], dtype=float)
+    counts = [len(prof.terms) for prof in profiles]
+    owner = np.repeat(np.arange(len(profiles)), counts)
+    c_t = np.array([c for prof in profiles for c, _ in prof.terms], dtype=complex)
+    nu = np.array([v for prof in profiles for _, v in prof.terms], dtype=float)
+    q = np.repeat(np.array([prof.q for prof in profiles], dtype=float), counts)
+    # profiles of lattice offsets share most (q, nu): evaluate each once
+    key, back = np.unique(q + 1j * nu, return_inverse=True)
+    vals = halfline_osc_integral(key.real[:, None] - p, key.imag[:, None], X)
+    vals = vals[back.reshape(-1)]
+    # |xi|^p F(xi) on xi < -X is (-1)^q times the nu -> -nu integral, which
+    # for real m is the complex conjugate
+    sgn = np.where(q % 2 == 0, 1.0, -1.0)[:, None]
+    per_term = c_t * ((vals + sgn * vals.conj()) @ coef)
+    return (np.bincount(owner, per_term.real, minlength=len(profiles))
+            + 1j * np.bincount(owner, per_term.imag, minlength=len(profiles)))
 
 
 def profile_abs_integral(profile: PairProfile, w: np.ndarray,
@@ -276,11 +370,11 @@ def build_axis_table(profile: PairProfile, X: float, Y: float, omega: float,
     dc_delta = 2.0 * cdc_r * _delta_gauss_tail_dc(q, vgrid.nodes, Y)
 
     # exact non-DC tail at v=0; modelled as nonDC0 * e^{-Y^2 v} for v > 0
-    non_dc0 = 0.0
-    sgn = (-1.0) ** q
-    for c, nu in profile.nonzero_terms():
-        non_dc0 += np.real(c * (halfline_osc_integral(q, nu, Y)
-                                + sgn * halfline_osc_integral(q, -nu, Y)))
+    nz = profile.nonzero_terms()
+    c_nz = np.array([c for c, _ in nz], dtype=complex)
+    nu_nz = np.array([nu for _, nu in nz], dtype=float)
+    vals = halfline_osc_integral(q, nu_nz, Y)
+    non_dc0 = float(np.sum(np.real(c_nz * (vals + (-1.0) ** q * vals.conj()))))
     damp = np.exp(-vgrid.nodes * Y * Y)
     e0 = e0r + dc0 + non_dc0
     ev = evals + dc_v + non_dc0 * damp
@@ -297,7 +391,7 @@ def build_axis_table(profile: PairProfile, X: float, Y: float, omega: float,
     if q >= 4:
         m2_rule = (2.0 * float(np.sum(np.real(w_d * F_d) * xi_d ** 2))
                    + 2.0 * float(np.sum(np.real(w_e * F_e) * xi_e ** 2)))
-        m2_tail = np.real(profile_tail(profile, 2.0, Y))
+        m2_tail = np.real(profile_tails([profile], [(1.0, 2.0)], Y)[0])
         m2_full = m2_rule + float(m2_tail)
     else:
         m2_full = float("nan")

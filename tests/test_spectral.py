@@ -1,14 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from screenwave import build_mesh, make_screen
+from screenwave import build_mesh, cantor_prefractal, make_screen
 from screenwave.spectral import (assemble, assemble_mesh_matrix, basis_ft,
                                  bessel, build_quadrature, hypersingular,
                                  mesh_dof_factors, single_layer,
                                  symbol_integral, symbol_Z,
                                  truncated_kernel_ft)
 from screenwave.spectral.factors import AxisFactor
+from screenwave.spectral.tails import expint, halfline_osc_integral
 
 SQRT2PI = np.sqrt(2 * np.pi)
 
@@ -208,3 +214,65 @@ class TestTruncatedKernelFT:
                 vals.append(w * np.sqrt(k * k + xi * xi) / (1 + np.sqrt(k * L)))
         vals = np.array(vals)
         assert vals.max() < 10 * vals.mean()   # a single constant fits
+
+
+class TestExpint:
+    def test_against_mpmath(self):
+        """Both sides of the series/continued-fraction switch at |z| = 1 and of
+        |z| = 8, integer orders and orders near, between and just off them."""
+        import mpmath as mp
+
+        mp.mp.dps = 30
+        radii = [1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.999, 1.001, 3.0, 7.99, 8.01, 20.0, 40.0]
+        m, z = [], []
+        for n in range(1, 42):
+            for order in (n, n + 0.5, n + 0.4, n - 0.4, n + 1e-3):
+                m += [order] * len(radii)
+                z += [-1j * r for r in radii]
+        m, z = np.array(m), np.array(z)
+        ref = np.array([complex(mp.expint(mp.mpf(a), mp.mpc(0.0, b.imag)))
+                        for a, b in zip(m, z)])
+        # z = -i nu X for nu of either sign; E_m(conj z) = conj E_m(z)
+        got = expint(np.concatenate([m, m]), np.concatenate([z, z.conj()]))
+        ref = np.concatenate([ref, ref.conj()])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+    def test_divergent_dc_tail_raises(self):
+        for m in (1.0, 0.5):
+            with pytest.raises(ValueError, match="divergent"):
+                halfline_osc_integral(m, 0.0, 40.0)
+        with pytest.raises(ValueError, match="divergent"):
+            halfline_osc_integral(np.array([3.0, 1.0]), np.array([0.5, 0.0]), 40.0)
+
+
+class TestHistoryIndependence:
+    def test_cantor_assembly_bit_identical_after_other_k(self):
+        # a fresh process against one that assembled another k first
+        mesh = build_mesh(cantor_prefractal(2, 3, 1 / 3), 3.0 ** -3 / 8, "P0")
+        dofs = mesh_dof_factors(mesh)
+        assemble(single_layer(29.0), dofs, tol=1e-9)
+        after = assemble(single_layer(27.0), dofs, tol=1e-9)
+        code = ("import sys, numpy as np\n"
+                "from screenwave import build_mesh, cantor_prefractal\n"
+                "from screenwave.spectral import assemble, mesh_dof_factors, single_layer\n"
+                "mesh = build_mesh(cantor_prefractal(2, 3, 1 / 3), 3.0 ** -3 / 8, 'P0')\n"
+                "A = assemble(single_layer(27.0), mesh_dof_factors(mesh), tol=1e-9)\n"
+                "sys.stdout.buffer.write(A.tobytes())\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        fresh = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert np.array_equal(np.frombuffer(fresh, dtype=complex).reshape(after.shape),
+                              after)
+
+
+def test_n3_p1_off_dyadic_block(rng):
+    """h = 1/6 puts hat centres off the binary lattice; equal frequencies then
+    differ by rounding and must merge into the DC term for the axis tails."""
+    mesh = build_mesh(make_screen(3, [((0.0, 0.0), (1.0, 1.0))]), 1.0 / 6.0, "P1")
+    rows = mesh_dof_factors(mesh)[:6]
+    B = assemble(hypersingular(2.0), rows, list(rows), tol=1e-8)
+    assert np.all(np.isfinite(B))
+    assert np.abs(B - B.T).max() <= 1e-10 * np.abs(B).max()
+    c = rng.standard_normal(6)
+    q = np.vdot(c, B @ c)
+    assert q.real <= 1e-10 and q.imag >= -1e-10
