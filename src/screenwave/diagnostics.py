@@ -92,13 +92,11 @@ def mesh_for_wavenumber(screen: Screen, k: float, elements_per_wavelength: float
 # ---------------------------------------------------------------------------
 def _quotients(system: GalerkinSystem, gram_entries: np.ndarray,
                samples: np.ndarray) -> np.ndarray:
-    A = system.matrix
-    out = np.empty(samples.shape[0])
-    for i, c in enumerate(samples):
-        num = abs(np.vdot(c, A @ c))
-        den = np.real(np.vdot(c, gram_entries @ c))
-        out[i] = num / den
-    return out
+    """|c^H A c| / c^H G c for every sample row c."""
+    conj = samples.conj()
+    num = np.abs(np.sum(conj * (samples @ system.matrix.T), axis=1))
+    den = np.real(np.sum(conj * (samples @ gram_entries.T), axis=1))
+    return num / den
 
 
 def _bump_values(points: np.ndarray, screen: Screen) -> np.ndarray:
@@ -153,10 +151,11 @@ def coercivity_scan_S(mesh: Mesh, ctx: WaveContext, sample_count: int = 1000,
     G = sys_.gram_minus.entries
     rng = np.random.default_rng(seed)
     N = mesh.n_dofs
-    n_rand = max(sample_count - len(_structured_samples(mesh, ctx.k)) - 16, 8)
+    structured = _structured_samples(mesh, ctx.k)
+    n_rand = max(sample_count - len(structured) - 16, 8)
     samples = list(rng.standard_normal((n_rand, N))
                    + 1j * rng.standard_normal((n_rand, N)))
-    samples += _structured_samples(mesh, ctx.k)
+    samples += structured
     samples += _pencil_candidates(sys_, G)
     samples = np.asarray(samples[:sample_count])
     q = _quotients(sys_, G, samples)

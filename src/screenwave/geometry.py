@@ -190,9 +190,6 @@ class Mesh:
     def dim_screen(self) -> int:
         return self.screen.dim_screen
 
-    def dof_support_radius(self) -> float:
-        return self.h / 2.0 if self.basis_kind == "P0" else self.h
-
 
 def _edge_counts(screen: Screen, h: float) -> np.ndarray:
     edges = screen.hi - screen.lo

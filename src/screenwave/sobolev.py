@@ -112,9 +112,8 @@ def gram(mesh: Mesh, s: float, ctx: WaveContext, tol: float = 1e-10) -> GramMatr
             f"gram: order s={s} outside admissible range [{lo}, {hi}) for "
             f"{mesh.basis_kind}, n={mesh.dim_screen + 1}"
         )
-    entries = assemble_mesh_matrix(bessel(ctx.k, s), mesh, tol=tol)
-    entries = np.real(entries).astype(float)
-    entries = 0.5 * (entries + entries.T)
+    # real, and exactly symmetric: entries come from one per-offset table
+    entries = np.real(assemble_mesh_matrix(bessel(ctx.k, s), mesh, tol=tol)).copy()
     return GramMatrix(s=s, k=ctx.k, entries=entries, mesh=mesh)
 
 

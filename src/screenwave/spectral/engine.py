@@ -6,30 +6,42 @@ Everything the operator and norm modules need reduces to integrals
 
 with sigma one of  i/(2Z)  (single layer),  (i/2) Z  (hypersingular) or
 (k^2+|xi|^2)^s  (Bessel weight), and fhat the closed-form basis transforms.
-The finite region |xi| <= X is integrated with singularity-removing radial
-substitutions; everything beyond X goes through the analytic tail machinery
-in :mod:`screenwave.spectral.tails`.
+
+A dof family has one factor kind and one h per axis, so fhat_i(xi) =
+prod_a b_a(xi_a) e^{-i c_ia xi_a} with c_i the dof centre.  Row and column
+families share each axis's kind, which makes P = prod_a b_a^row conj(b_a^col)
+real and even in every xi_a, and an entry a function of the per-axis centre
+offsets alone:
+
+    I(delta) = int sigma(|xi|) P(xi) prod_a cos(delta_a xi_a) d xi,
+
+even in each delta_a.  ``SymbolQuadrature`` evaluates I once per distinct
+|delta_a| (n=3: once per pair of distinct x and y offsets) and gathers the
+matrix from that table, so a shared family is complex-symmetric by
+construction.  The finite region, |xi| <= X on the line and the square
+max|xi_a| <= X in the plane, is a cosine transform of a rule with
+singularity-removing radial substitutions, summed in node batches;
+everything beyond X goes through the analytic tail machinery in
+:mod:`screenwave.spectral.tails`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import hankel1, j0
 
 from ..geometry import Mesh
 from .factors import AxisFactor, pair_profile
-from .rules import (PanelSpec, gauss_panels, radial_rule, sigma_plain,
-                    split_interval)
-from .tails import (AxisTable, VGrid, build_axis_table, profile_tails,
-                    required_axis_Y, symbol_series,
-                    symbol_series_remainder, tensor_tail_term)
+from .rules import PanelSpec, gauss_panels, radial_rule, sigma_plain, split_interval
+from .tails import (QuadratureError, VGrid, build_axis_table, profile_tails,
+                    required_axis_Y, symbol_series, symbol_series_remainder,
+                    tensor_tail_term)
 
-
-class QuadratureError(RuntimeError):
-    """Quadrature non-convergence: a tolerance or oscillation cap was hit."""
+_TABLE_CELLS = 1 << 17   # cosine-table cells per node batch: bounds the working set
+_KEY_DIGITS = 12         # offsets equal to this many digits share one table entry
 
 
 @dataclass(frozen=True)
@@ -118,18 +130,59 @@ def basis_ft(factors, xi) -> np.ndarray:
     return out
 
 
-def _family_constants(dofs) -> tuple[list[int], list[float], float]:
-    """Per axis, the smallest decay order p and largest amplitude sum |a_t| of
-    the dofs' large-|xi| forms; and their largest frequency |w_t| over all axes.
+@dataclass(frozen=True)
+class _Family:
+    """A dof family read once: one factor kind and one h per axis, and an
+    (N, d) array of dof centres."""
 
-    p and sum |a_t| depend only on the factor kind and h, so their extremes
-    over all (row, col) pairs follow from one pass over each family.
-    """
-    per_axis = [[dof[a].exp_terms() for dof in dofs] for a in range(len(dofs[0]))]
-    q = [min(p for p, _ in ax) for ax in per_axis]
-    amp = [max(sum(abs(c) for c, _ in terms) for _, terms in ax) for ax in per_axis]
-    omega = max(abs(w) for ax in per_axis for _, terms in ax for _, w in terms)
+    kinds: tuple[str, ...]
+    h: tuple[float, ...]
+    centers: np.ndarray
+
+    @classmethod
+    def read(cls, dofs) -> "_Family":
+        kinds, hs = [], []
+        for a in range(len(dofs[0])):
+            kh = {(dof[a].kind, dof[a].h) for dof in dofs}
+            if len(kh) != 1:
+                raise ValueError(f"dof family mixes factor kinds or h on axis {a}: "
+                                 f"{sorted(kh)}")
+            (kind, h), = kh
+            kinds.append(kind)
+            hs.append(h)
+        centers = np.array([[f.center for f in dof] for dof in dofs], dtype=float)
+        return cls(tuple(kinds), tuple(hs), centers)
+
+    @property
+    def dim(self) -> int:
+        return len(self.kinds)
+
+    def factor(self, axis: int, center: float = 0.0) -> AxisFactor:
+        return AxisFactor(self.kinds[axis], center, self.h[axis])
+
+
+def _family_constants(fam: _Family) -> tuple[list[int], list[float], float]:
+    """Per axis, the decay order p and amplitude sum |a_t| of the large-|xi|
+    form, which depend only on kind and h; and the largest frequency |w_t|
+    over all dofs and axes, which |w_t| = |const - c| takes at an extreme
+    centre c."""
+    q, amp, omega = [], [], 0.0
+    for a in range(fam.dim):
+        p, terms = fam.factor(a).exp_terms()
+        q.append(p)
+        amp.append(sum(abs(c) for c, _ in terms))
+        for c in (fam.centers[:, a].min(), fam.centers[:, a].max()):
+            omega = max(omega, *(abs(w) for _, w in fam.factor(a, float(c)).exp_terms()[1]))
     return q, amp, omega
+
+
+def _abs_estimate(fam: _Family, axis: int) -> float:
+    """Envelope of int_R |f| over one axis factor of a family, for the other
+    axis of an n=3 tail model.  It is taken on the first dof's factor: the
+    centre enters |f| only through the rounding of its unit-modulus phase."""
+    f = fam.factor(axis, float(fam.centers[0, axis]))
+    xi, w = gauss_panels(split_interval(0.0, 60.0 / f.h, 0.5), 8)
+    return 2.0 * float(np.sum(w * np.abs(f.value(xi)))) + 0.1 * f.h
 
 
 @dataclass
@@ -146,38 +199,25 @@ class _Variant:
         return cls(order=12, scale=0.71, x_fact=1.31, v_per_decade=3)
 
 
-@dataclass
 class SymbolQuadrature:
-    """Panelized rule + certified analytic tail for one (kind, mesh) pairing."""
-
-    kind: SymbolKind
-    mesh: Mesh
-    k: float
-    xi_max: float
-    panels: list[PanelSpec]
-    n_theta: int
-    tail_bound: float
-    tol: float
-    _dofs: list = field(repr=False, default_factory=list)
-    _plan: object = field(repr=False, default=None)
-
-
-class _Plan:
-    """Rule, split radius X, series order and tail state for one
-    (symbol, row dofs, col dofs, tol, variant).
+    """Rule, split radius ``xi_max`` = X, series order and certified tail
+    bound for one (symbol, row family, column family, tol, variant), and the
+    offset tables its matrix entries are gathered from.
 
     The only code that checks integrability, picks X and the rule, chooses
-    the series order and certifies the tail bound.  ``assemble`` and
-    ``build_quadrature`` build one; ``symbol_integral`` reuses its
-    quadrature's.
+    the series order and certifies the tail bound.  ``assemble``,
+    ``build_quadrature`` and ``symbol_integral`` all go through one.
     """
 
-    def __init__(self, kind: SymbolKind, dofs_row, dofs_col, tol: float,
-                 variant: int):
+    def __init__(self, kind: SymbolKind, rows: _Family, cols: _Family, tol: float,
+                 variant: int = 0):
         if tol <= 0:
             raise ValueError("tolerance must be positive")
-        q_r, amp_r, om_r = _family_constants(dofs_row)
-        q_c, amp_c, om_c = _family_constants(dofs_col)
+        if rows.kinds != cols.kinds:
+            raise ValueError("row and column families must share each axis's "
+                             f"factor kind: {rows.kinds} against {cols.kinds}")
+        q_r, amp_r, om_r = _family_constants(rows)
+        q_c, amp_c, om_c = _family_constants(cols)
         q_min = min(a + b for a, b in zip(q_r, q_c))
         if kind.growth - q_min >= -1.0:
             raise ValueError(
@@ -187,12 +227,14 @@ class _Plan:
         var = _Variant.get(variant)
         k = kind.k
         self.kind, self.tol, self.var = kind, tol, var
-        self.dim = len(q_r)
+        self.rows, self.cols = rows, cols
+        self.dim = rows.dim
         self.omega = 2.0 * max(om_r, om_c) + 1.0
-        self.X = max(2.5 * k, 40.0) * var.x_fact
+        self.xi_max = X = max(2.5 * k, 40.0) * var.x_fact
         if self.dim == 1:
-            self.rho, self.w, self.panels = radial_rule(
-                kind, k, self.X, self.omega, order=var.order, scale=var.scale)
+            rho, self.w, self.panels = radial_rule(
+                kind, k, X, self.omega, order=var.order, scale=var.scale)
+            self.nodes = (rho,)
             self.n_theta = 0
             env = amp_r[0] * amp_c[0]
 
@@ -201,26 +243,24 @@ class _Plan:
                 if decay <= 0.05:
                     raise QuadratureError(
                         "symbol tail remainder nearly divergent against this basis")
-                return env * self.X ** (p - q_min + 1) / decay
+                return env * X ** (p - q_min + 1) / decay
         else:
             x1, y1, w1, self.panels, self.n_theta = _disk_rule(
-                kind, k, self.X, self.omega, math.sqrt(2.0) * self.omega,
+                kind, k, X, self.omega, math.sqrt(2.0) * self.omega,
                 var.order, var.scale)
-            x2, y2, w2 = _corner_rule(kind, k, self.X, self.omega, var.order, var.scale)
-            self.xi1 = np.concatenate([x1, x2])
-            self.xi2 = np.concatenate([y1, y2])
+            x2, y2, w2 = _corner_rule(kind, k, X, self.omega, var.order, var.scale)
+            self.nodes = (np.concatenate([x1, x2]), np.concatenate([y1, y2]))
             self.w = np.concatenate([w1, w2])
-            self.vgrid = VGrid.build(self.X, panels_per_decade=var.v_per_decade)
+            self.vgrid = VGrid.build(X, panels_per_decade=var.v_per_decade)
             self.has_subtracted = kind.growth > 0.0
-            self._tables: dict = {}
-            self._abs_est: dict = {}
+            # other-axis envelopes of the axis tail models (rows' y for x, x for y)
+            self.other_abs = (_abs_estimate(rows, 1), _abs_estimate(rows, 0))
             # envelope of the exterior integral <= X^p * absx * absy
-            abs_prod = max(self._abs_estimate(f[0]) for f in dofs_row) * \
-                max(self._abs_estimate(g[1]) for g in dofs_col)
+            abs_prod = self.other_abs[1] * _abs_estimate(cols, 1)
 
             def env_of_p(p):
-                return abs_prod * self.X ** p
-        self.M, rem_bound = _choose_series_order(kind, self.X, tol / 4.0, env_of_p)
+                return abs_prod * X ** p
+        self.M, rem_bound = _choose_series_order(kind, X, tol / 4.0, env_of_p)
         self.sigma_terms = [(coef, p) for coef, p in symbol_series(kind, self.M)
                             if coef != 0.0]
         # n=2: the expint tails are exact.  n=3, per entry: two axis models
@@ -233,42 +273,74 @@ class _Plan:
                 f"(certified bound {self.tail_bound:g})"
             )
 
-    def _abs_estimate(self, f: AxisFactor) -> float:
-        key = (f.kind, f.h)
-        hit = self._abs_est.get(key)
-        if hit is None:
-            xi, w = gauss_panels(split_interval(0.0, 60.0 / f.h, 0.5), 8)
-            hit = 2.0 * float(np.sum(w * np.abs(f.value(xi)))) + 0.1 * f.h
-            self._abs_est[key] = hit
-        return hit
+    def matrix(self, i=slice(None), j=slice(None)) -> np.ndarray:
+        """Entries between rows ``i`` and columns ``j`` of the two families,
+        gathered from one table over their distinct per-axis |offsets|."""
+        c_r, c_c = self.rows.centers[i], self.cols.centers[j]
+        deltas, index = [], []
+        for a in range(self.dim):
+            delta = np.abs(np.subtract.outer(c_r[:, a], c_c[:, a])).ravel()
+            _, first, inverse = np.unique(np.round(delta, _KEY_DIGITS),
+                                          return_index=True, return_inverse=True)
+            # each key is evaluated at the exact offset of its first occurrence
+            deltas.append(delta[first])
+            index.append(inverse.reshape(len(c_r), len(c_c)))
+        table = self._finite_table(deltas) + self._tail_table(deltas)
+        return table[tuple(index)]
 
-    def axis_table(self, f: AxisFactor, g: AxisFactor, other_abs: float) -> AxisTable:
-        key = (f.kind, g.kind, f.h, g.h, round(f.center - g.center, 12))
-        hit = self._tables.get(key)
-        if hit is not None:
-            return hit
-        prof = pair_profile(f, g)
-        budget = self.tol / 8.0
-        Y = required_axis_Y(prof, other_abs, budget, self.has_subtracted)
-        tab = build_axis_table(prof, self.X, Y, self.omega, self.vgrid,
-                               order=self.var.order, scale=self.var.scale)
-        self._tables[key] = tab
-        return tab
+    def _finite_table(self, deltas) -> np.ndarray:
+        """sum_q w_q P(xi_q) prod_a cos(delta_a xi_qa) for every combination of
+        per-axis keys: n=2 folds the line onto the half-line rule (factor 2),
+        n=3 is (cos(dx xi1) w P) @ cos(dy xi2)^T.  Nodes go in batches of
+        about ``_TABLE_CELLS`` table cells."""
+        pairs = [(self.rows.factor(a), self.cols.factor(a)) for a in range(self.dim)]
+        n_x = deltas[0].size
+        step = max(1, _TABLE_CELLS // max(d.size for d in deltas))
+        acc = 0.0
+        for s in range(0, self.w.size, step):
+            b = slice(s, s + step)
+            wP = self.w[b]
+            cos = []
+            for (f, g), xi, delta in zip(pairs, self.nodes, deltas):
+                wP = wP * (f.value(xi[b]) * np.conj(g.value(xi[b]))).real
+                cos.append(np.cos(np.outer(delta, xi[b])))
+            lhs = np.concatenate([cos[0] * wP.real, cos[0] * wP.imag])
+            # the n=2 table is a single column
+            acc = acc + lhs @ (cos[1].T if self.dim == 2 else np.ones((lhs.shape[1], 1)))
+        table = acc[:n_x] + 1j * acc[n_x:]
+        return table if self.dim == 2 else 2.0 * table[:, 0]
 
-    def tails(self, pairs) -> np.ndarray:
-        """Part of each (row dof, col dof) entry beyond the finite rule:
-        |xi| > X (n=2, all pairs in one array pass) or the exterior of the
-        square max|xi_i| > X (n=3)."""
+    def _tail_table(self, deltas) -> np.ndarray:
+        """Part of each table entry beyond the finite rule: |xi| > X (n=2, all
+        keys in one array pass) or the exterior of the square max|xi_a| > X
+        (n=3, from one axis table per x key and per y key)."""
         if self.dim == 1:
-            return profile_tails([pair_profile(fd[0], gd[0]) for fd, gd in pairs],
-                                 self.sigma_terms, self.X)
-        out = np.empty(len(pairs), dtype=complex)
-        for t, (fd, gd) in enumerate(pairs):
-            ax = self.axis_table(fd[0], gd[0], self._abs_estimate(fd[1]))
-            ay = self.axis_table(fd[1], gd[1], self._abs_estimate(fd[0]))
-            out[t] = sum(coef * tensor_tail_term(p, ax, ay, self.vgrid)
-                         for coef, p in self.sigma_terms)
-        return out
+            return profile_tails([self._profile(0, d) for d in deltas[0]],
+                                 self.sigma_terms, self.xi_max)
+        tables: dict = {}
+
+        def axis_table(axis, delta):
+            # the two axes of a square family share their tables
+            key = (self.rows.kinds[axis], self.rows.h[axis], self.cols.h[axis],
+                   self.other_abs[axis], round(float(delta), _KEY_DIGITS))
+            if key not in tables:
+                prof = self._profile(axis, delta)
+                Y = required_axis_Y(prof, self.other_abs[axis], self.tol / 8.0,
+                                    self.has_subtracted)
+                tables[key] = build_axis_table(prof, self.xi_max, Y, self.omega,
+                                               self.vgrid, order=self.var.order,
+                                               scale=self.var.scale)
+            return tables[key]
+
+        ax = [axis_table(0, d) for d in deltas[0]]
+        ay = [axis_table(1, d) for d in deltas[1]]
+        return np.array([[sum(coef * tensor_tail_term(p, tx, ty, self.vgrid)
+                              for coef, p in self.sigma_terms) for ty in ay]
+                         for tx in ax])
+
+    def _profile(self, axis: int, delta: float):
+        """Pair profile of one axis at centre offset delta."""
+        return pair_profile(self.rows.factor(axis, float(delta)), self.cols.factor(axis))
 
 
 def _choose_series_order(kind, X, budget, env_of_p, m_cap: int = 60):
@@ -283,91 +355,32 @@ def _choose_series_order(kind, X, budget, env_of_p, m_cap: int = 60):
     raise QuadratureError("symbol tail series cannot reach the requested tolerance")
 
 
-def _add_tails(out: np.ndarray, plan: _Plan, dofs_row, dofs_col) -> None:
-    """out[i, j] += tail of (row i, col j), computed once per distinct key.
-
-    A tail depends only on each axis's factor kinds, h and centre offset.  A
-    shared family keys the upper triangle and mirrors it.
-    """
-    same = dofs_row is dofs_col
-    if same:
-        i, j = np.triu_indices(len(dofs_row))
-    else:
-        i, j = (a.ravel() for a in np.indices((len(dofs_row), len(dofs_col))))
-    codes: dict = {}
-    cols = []
-    for a in range(len(dofs_row[0])):
-        for dofs, idx in ((dofs_row, i), (dofs_col, j)):
-            kh = [codes.setdefault((dof[a].kind, dof[a].h), len(codes)) for dof in dofs]
-            cols.append(np.asarray(kh)[idx])
-        c_r = np.array([dof[a].center for dof in dofs_row])
-        c_c = np.array([dof[a].center for dof in dofs_col])
-        cols.append(np.round(c_r[i] - c_c[j], 12) + 0.0)   # + 0.0 folds -0.0 into 0.0
-    _, first, inverse = np.unique(np.column_stack(cols), axis=0,
-                                  return_index=True, return_inverse=True)
-    tails = plan.tails([(dofs_row[i[t]], dofs_col[j[t]])
-                        for t in first])[inverse.reshape(-1)]
-    out[i, j] += tails
-    if same:
-        off = i != j
-        out[j[off], i[off]] += tails[off]
-
-
-def _assemble_1d(plan: _Plan, dofs_row, dofs_col) -> np.ndarray:
-    rho, w = plan.rho, plan.w
-    Vr = np.array([f[0].value(rho) for f in dofs_row])
-    Vc = Vr if dofs_col is dofs_row else np.array([g[0].value(rho) for g in dofs_col])
-    # int_0^X sigma * 2 Re(F_i conj F_j)
-    A, B = Vr.real, Vr.imag
-    C, D = Vc.real, Vc.imag
-    out = 2.0 * ((A * w) @ C.T + (B * w) @ D.T)
-    _add_tails(out, plan, dofs_row, dofs_col)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# n = 3
+# n = 3 rule
 # ---------------------------------------------------------------------------
 def _disk_rule(kind, k, X, omega, nu_rad, order, scale):
-    """Flattened polar rule on the disk |xi| <= X with layered theta counts."""
-    xs, ys, ws = [], [], []
-    panel_specs = []
+    """Flattened polar rule on the disk |xi| <= X: each ``order``-node panel
+    of ``radial_rule`` with the angular count its largest radius needs."""
+    rho, w, radial = radial_rule(kind, k, X, omega, order=order, scale=scale)
+    xs, ys, ws, panel_specs = [], [], [], []
     n_theta_max = 0
-
-    def add_region(t_breaks, rho_of_t, sigjac_of_t, tag, lo, hi):
-        nonlocal n_theta_max
-        x0, w0 = np.polynomial.legendre.leggauss(order)
+    start = 0
+    for spec in radial:
+        stop = start + spec.n_nodes
         count = 0
-        for a, b in zip(t_breaks[:-1], t_breaks[1:]):
-            t = 0.5 * (b - a) * x0 + 0.5 * (a + b)
-            wt = 0.5 * (b - a) * w0
-            rho = rho_of_t(t)
-            wsig = wt * sigjac_of_t(t) * rho          # polar Jacobian rho
-            amp = float(np.max(rho)) * nu_rad
+        for r, wr in zip(rho[start:stop].reshape(-1, order),
+                         w[start:stop].reshape(-1, order)):
+            amp = float(np.max(r)) * nu_rad
             n_th = 2 * int(math.ceil(amp + 10.0 * amp ** (1.0 / 3.0))) + 32
             n_theta_max = max(n_theta_max, n_th)
             th = 2.0 * np.pi * np.arange(n_th) / n_th
-            wth = 2.0 * np.pi / n_th
-            xs.append(np.outer(rho, np.cos(th)).ravel())
-            ys.append(np.outer(rho, np.sin(th)).ravel())
-            ws.append(np.outer(wsig * wth, np.ones(n_th)).ravel())
-            count += t.size * n_th
-        panel_specs.append(PanelSpec(lo, hi, tag, count))
-
-    om = max(omega, 0.5)
-    tb = split_interval(0.0, np.pi / 2.0, scale * np.pi / (om * k), min_panels=4)
-    from .rules import _sigma_jac_cosh, _sigma_jac_sin
-    add_region(tb, lambda t: k * np.sin(t), lambda t: _sigma_jac_sin(kind, k, t),
-               "sin-sub", 0.0, k)
-    t2max = np.arccosh(2.0)
-    tb2 = split_interval(0.0, t2max, scale * np.pi / (om * k * np.sqrt(3.0)),
-                         min_panels=4)
-    add_region(tb2, lambda t: k * np.cosh(t), lambda t: _sigma_jac_cosh(kind, k, t),
-               "cosh-sub", k, 2.0 * k)
-    rb = split_interval(2.0 * k, X, scale * np.pi / om, min_panels=2)
-    add_region(rb, lambda r: r, lambda r: sigma_plain(kind, k, r), "plain",
-               2.0 * k, X)
-
+            xs.append(np.outer(r, np.cos(th)).ravel())
+            ys.append(np.outer(r, np.sin(th)).ravel())
+            # polar Jacobian rho, equal angular weights
+            ws.append(np.repeat(wr * r * (2.0 * np.pi / n_th), n_th))
+            count += r.size * n_th
+        panel_specs.append(PanelSpec(spec.lo, spec.hi, spec.substitution, count))
+        start = stop
     return (np.concatenate(xs), np.concatenate(ys), np.concatenate(ws),
             panel_specs, n_theta_max)
 
@@ -398,59 +411,22 @@ def _corner_rule(kind, k, X, omega, order, scale):
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(ws)
 
 
-def _assemble_2d(plan: _Plan, dofs_row, dofs_col) -> np.ndarray:
-    xi1, xi2, w = plan.xi1, plan.xi2, plan.w
-    fcache: dict = {}
-
-    def fval(f: AxisFactor, axis: int):
-        key = (f, axis)
-        hit = fcache.get(key)
-        if hit is None:
-            hit = f.value(xi1 if axis == 0 else xi2)
-            fcache[key] = hit
-        return hit
-
-    def values(dofs):
-        V = np.empty((len(dofs), xi1.size), dtype=complex)
-        for i, d in enumerate(dofs):
-            V[i] = fval(d[0], 0) * fval(d[1], 1)
-        return V
-
-    Vr = values(dofs_row)
-    same = dofs_row is dofs_col
-    Vc = Vr if same else values(dofs_col)
-    out = Vr @ (Vc.conj() * w).T
-    _add_tails(out, plan, dofs_row, dofs_col)
-    if same:
-        out = 0.5 * (out + out.T)   # the finite part is symmetric to rounding
-    return out
-
-
-def _block(plan: _Plan, dofs_row, dofs_col) -> np.ndarray:
-    assemble_dim = _assemble_1d if plan.dim == 1 else _assemble_2d
-    return assemble_dim(plan, dofs_row, dofs_col)
-
-
 # ---------------------------------------------------------------------------
 # public API
 # ---------------------------------------------------------------------------
 def assemble(kind: SymbolKind, dofs_row, dofs_col=None, tol: float = 1e-10,
              variant: int = 0) -> np.ndarray:
     """Matrix of symbol integrals for two dof families (shared if col=None)."""
-    if dofs_col is None:
-        dofs_col = dofs_row
-    return _block(_Plan(kind, dofs_row, dofs_col, tol, variant), dofs_row, dofs_col)
+    rows = _Family.read(dofs_row)
+    cols = rows if dofs_col is None else _Family.read(dofs_col)
+    return SymbolQuadrature(kind, rows, cols, tol, variant).matrix()
 
 
 def build_quadrature(kind: SymbolKind, mesh: Mesh, tol: float = 1e-10,
                      variant: int = 0) -> SymbolQuadrature:
     """Validate integrability and prebuild the rule + tail plan for a mesh."""
-    dofs = mesh_dof_factors(mesh)
-    plan = _Plan(kind, dofs, dofs, tol, variant)
-    return SymbolQuadrature(kind=kind, mesh=mesh, k=kind.k,
-                            xi_max=plan.X, panels=plan.panels, n_theta=plan.n_theta,
-                            tail_bound=plan.tail_bound, tol=tol, _dofs=dofs,
-                            _plan=plan)
+    dofs = _Family.read(mesh_dof_factors(mesh))
+    return SymbolQuadrature(kind, dofs, dofs, tol, variant)
 
 
 def symbol_integral(kind: SymbolKind, i: int, j: int,
@@ -458,7 +434,7 @@ def symbol_integral(kind: SymbolKind, i: int, j: int,
     """One entry int sigma fhat_i conj(fhat_j) using a prebuilt rule."""
     if kind != quad.kind:
         raise ValueError("symbol kind does not match the prebuilt quadrature")
-    return complex(_block(quad._plan, [quad._dofs[i]], [quad._dofs[j]])[0, 0])
+    return complex(quad.matrix([i], [j])[0, 0])
 
 
 def assemble_mesh_matrix(kind: SymbolKind, mesh: Mesh, tol: float = 1e-10,

@@ -81,14 +81,6 @@ class AxisFactor:
             return 1, [(1j * a, w) for a, w in terms]
         raise ValueError(f"unknown factor kind {self.kind!r}")
 
-    def moment0(self) -> float:
-        """Integral of the spatial function (so value(0) = moment0/sqrt(2pi))."""
-        if self.kind == "box":
-            return self.h
-        if self.kind == "hat":
-            return self.h
-        return 0.0
-
 
 @dataclass(frozen=True)
 class PairProfile:
@@ -113,15 +105,9 @@ class PairProfile:
     def nonzero_terms(self) -> list[tuple[complex, float]]:
         return [(c, nu) for c, nu in self.terms if nu != 0.0]
 
-    def abs_coeff_sum(self) -> float:
-        return float(sum(abs(c) for c, _ in self.terms))
-
     def min_nonzero_freq(self) -> float:
         nz = [abs(nu) for _, nu in self.terms if nu != 0.0]
         return min(nz) if nz else np.inf
-
-    def max_freq(self) -> float:
-        return max((abs(nu) for _, nu in self.terms), default=0.0)
 
 
 def pair_profile(f: AxisFactor, g: AxisFactor) -> PairProfile:

@@ -73,18 +73,6 @@ def sigma_plain(kind, k: float, rho: np.ndarray) -> np.ndarray:
     return (k * k + rho * rho) ** kind.s + 0.0j
 
 
-def sigma_value(kind, k: float, rho: np.ndarray) -> np.ndarray:
-    """Symbol value at arbitrary rho >= 0 (for diagnostics; branch-correct)."""
-    rho = np.asarray(rho, dtype=float)
-    z2 = k * k - rho * rho
-    z = np.where(z2 >= 0, np.sqrt(np.abs(z2)) + 0.0j, 1j * np.sqrt(np.abs(z2)))
-    if kind.tag == "single_layer":
-        return 0.5j / z
-    if kind.tag == "hypersingular":
-        return 0.5j * z
-    return (k * k + rho * rho) ** kind.s + 0.0j
-
-
 def radial_rule(kind, k: float, X: float, omega: float, order: int = 16,
                 scale: float = 1.0) -> tuple[np.ndarray, np.ndarray, list[PanelSpec]]:
     """Nodes rho_g and combined weights w_g * sigma * jac on (0, X).
@@ -121,11 +109,3 @@ def radial_rule(kind, k: float, X: float, omega: float, order: int = 16,
     rho = np.concatenate([rho_a, rho_b, rho_c])
     w = np.concatenate([w_a, w_b, w_c])
     return rho, w, panels
-
-
-def oscillatory_line_rule(hi: float, omega: float, order: int = 16,
-                          scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Plain GL panels on (0, hi) resolving frequency omega (for axis integrals)."""
-    om = max(omega, 0.5)
-    breaks = split_interval(0.0, hi, scale * np.pi / om, min_panels=4)
-    return gauss_panels(breaks, order)

@@ -35,6 +35,10 @@ _SERIES_RADIUS = 1.0
 _CF_EPS = 8.0 * float(np.finfo(np.longdouble).eps)
 
 
+class QuadratureError(RuntimeError):
+    """Quadrature non-convergence: a tolerance or oscillation cap was hit."""
+
+
 def _order_terms(m: float) -> tuple[float, float, float]:
     """(n, e, g) for order m: n = max(1, round(m)), e = m - n and
 
@@ -182,15 +186,6 @@ def profile_tails(profiles, series, X: float) -> np.ndarray:
             + 1j * np.bincount(owner, per_term.imag, minlength=len(profiles)))
 
 
-def profile_abs_integral(profile: PairProfile, w: np.ndarray,
-                         values: np.ndarray, Y: float) -> float:
-    """Envelope estimate of int_R |F|: rule part on (0,Y) doubled + tail."""
-    rule_part = 2.0 * float(np.sum(np.abs(w) * np.abs(values)))
-    q = profile.q
-    tail = 2.0 * profile.abs_coeff_sum() * Y ** (1 - q) / (q - 1)
-    return rule_part + tail
-
-
 # ---------------------------------------------------------------------------
 # symbol expansions sigma(rho) = sum coef * rho^p + remainder, rho >= X
 # ---------------------------------------------------------------------------
@@ -305,8 +300,6 @@ class AxisTable:
     dev: np.ndarray       # e(0) - e(v)
     m2_full: float        # int xi^2 F (full line, exact tails), nan if q < 4
     d2: float             # int_{-X}^{X} xi^2 F
-    abs_int: float        # envelope of int |F|
-    model_bound: float    # certified bound on the neglected non-DC tail model
 
     @property
     def q0(self) -> float:
@@ -380,13 +373,6 @@ def build_axis_table(profile: PairProfile, X: float, Y: float, omega: float,
     ev = evals + dc_v + non_dc0 * damp
     dev = edel + dc_delta + non_dc0 * (1.0 - damp)
 
-    # certified bound on the model error (IBP and envelope variants)
-    s_nz = sum(abs(c) for c, _ in profile.nonzero_terms())
-    nu_min = profile.min_nonzero_freq()
-    k_ibp = 2.0 * s_nz / (nu_min * Y ** q) if np.isfinite(nu_min) else np.inf
-    k_env = 2.0 * s_nz / ((q - 1) * Y ** (q - 1))
-    model_k = min(k_ibp, k_env)
-
     # exact second moments where absolutely convergent
     if q >= 4:
         m2_rule = (2.0 * float(np.sum(np.real(w_d * F_d) * xi_d ** 2))
@@ -397,12 +383,8 @@ def build_axis_table(profile: PairProfile, X: float, Y: float, omega: float,
         m2_full = float("nan")
     d2 = 2.0 * float(np.sum(np.real(w_d * F_d) * xi_d ** 2))
 
-    abs_int = profile_abs_integral(profile, np.concatenate([w_d, w_e]),
-                                   np.concatenate([F_d, F_e]), Y)
-
     return AxisTable(q=q, d0=d0, e0=e0, dv=dvals, ev=ev, ddv=ddel, dev=dev,
-                     m2_full=m2_full, d2=d2, abs_int=abs_int,
-                     model_bound=model_k)
+                     m2_full=m2_full, d2=d2)
 
 
 def required_axis_Y(profile: PairProfile, other_abs: float, budget: float,
@@ -414,6 +396,7 @@ def required_axis_Y(profile: PairProfile, other_abs: float, budget: float,
     nu_min = profile.min_nonzero_freq()
     Y = Y_min
     while Y <= Y_max:
+        # model-error constant: the smaller of the IBP and envelope bounds
         k_ibp = 2.0 * s_nz / (nu_min * Y ** q) if np.isfinite(nu_min) else np.inf
         k_env = 2.0 * s_nz / ((q - 1) * Y ** (q - 1))
         K = min(k_ibp, k_env)
@@ -421,8 +404,6 @@ def required_axis_Y(profile: PairProfile, other_abs: float, budget: float,
         if err <= budget:
             return Y
         Y *= 2.0
-    from .engine import QuadratureError
-
     raise QuadratureError("axis tail truncation cannot meet the requested tolerance")
 
 

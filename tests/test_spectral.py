@@ -276,3 +276,25 @@ def test_n3_p1_off_dyadic_block(rng):
     c = rng.standard_normal(6)
     q = np.vdot(c, B @ c)
     assert q.real <= 1e-10 and q.imag >= -1e-10
+
+
+def test_n3_square_p0_h16_assembles(unit_square, rng):
+    """N = 256 dofs against a plane rule of about 1.1e6 nodes: assembly
+    memory is set by the offset table and its node batches, not by N x Q."""
+    mesh = build_mesh(unit_square, 1.0 / 16.0, "P0")
+    A = assemble_mesh_matrix(single_layer(5.0), mesh, tol=1e-10)
+    assert A.shape == (256, 256)
+    assert np.all(np.isfinite(A))
+    assert np.array_equal(A, A.T)
+    for _ in range(10):
+        c = rng.standard_normal(mesh.n_dofs)
+        q = np.vdot(c, A @ c)
+        assert q.real >= -1e-12 and q.imag >= -1e-12
+
+
+def test_family_must_have_one_kind_and_h_per_axis():
+    box = (AxisFactor("box", 0.5, 0.25),)
+    with pytest.raises(ValueError, match="mixes"):
+        assemble(single_layer(2.0), [box, (AxisFactor("box", 0.75, 0.125),)])
+    with pytest.raises(ValueError, match="share"):
+        assemble(single_layer(2.0), [box], [(AxisFactor("hat", 0.5, 0.25),)])
