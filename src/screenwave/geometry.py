@@ -147,6 +147,21 @@ def cantor_prefractal(n: int, level: int, ratio: float = 1.0 / 3.0) -> Screen:
     return make_screen(3, boxes)
 
 
+def distances_to_screen(points, screen: Screen) -> np.ndarray:
+    """Euclidean distances from the rows of an (m, n) array of points of R^n
+    to the closed screen, shape (m,)."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != screen.dim_ambient:
+        raise ValueError(
+            f"distances_to_screen: points have shape {pts.shape}, "
+            f"expected (m, {screen.dim_ambient})"
+        )
+    xt, xn = pts[:, None, :-1], pts[:, -1:]
+    d_in = np.maximum(np.maximum(screen.lo - xt, xt - screen.hi), 0.0)
+    d2 = (d_in ** 2).sum(axis=2) + xn ** 2
+    return np.sqrt(d2.min(axis=1))
+
+
 def dist_to_screen(x, screen: Screen) -> float:
     """Euclidean distance from a point of R^n to the closed screen."""
     x = np.asarray(x, dtype=float)
@@ -154,10 +169,7 @@ def dist_to_screen(x, screen: Screen) -> float:
         raise ValueError(
             f"dist_to_screen: point has shape {x.shape}, expected ({screen.dim_ambient},)"
         )
-    xt, xn = x[:-1], x[-1]
-    d_in = np.maximum(np.maximum(screen.lo - xt, xt - screen.hi), 0.0)
-    d2 = (d_in ** 2).sum(axis=1) + xn ** 2
-    return float(np.sqrt(d2.min()))
+    return float(distances_to_screen(x[None, :], screen)[0])
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import scipy.linalg as sla
 
 from .geometry import Mesh, Screen, dist_to_screen
 from .spectral import assemble_mesh_matrix, bessel
+from .spectral.engine import _TABLE_CELLS
 from .spectral.rules import gauss_panels, split_interval
 
 
@@ -155,25 +156,31 @@ def rhs_functional(g, mesh: Mesh, ctx: WaveContext, tol: float = 1e-10) -> np.nd
     """f_j = int_Gamma g(y) conj(basis_j(y)) ds(y), per-element Gauss.
 
     ``g`` is any object with ``sample(points) -> values`` (TraceData) or a
-    plain callable on (m, d) arrays of screen points.
+    plain callable on (m, d) arrays of screen points.  A P1 dof integrates
+    over the 2^d elements at its node, one corner shift each; every dof
+    shares the hat values at the rule's points, so each shift is one
+    ``sample`` call over a block of dofs, contracted with its weights.  Dof
+    blocks keep a call under ``_TABLE_CELLS`` points.
     """
     sample = g.sample if hasattr(g, "sample") else g
     feature = g.quad_scale(mesh) if hasattr(g, "quad_scale") else None
     offs, ww = _element_quadrature(mesh, ctx.k, feature)
     d = mesh.dim_screen
-    f = np.zeros(mesh.n_dofs, dtype=complex)
     if mesh.basis_kind == "P0":
-        for j in range(mesh.n_dofs):
-            pts = mesh.dof_points[j] - mesh.h / 2.0 + offs
-            f[j] = np.sum(ww * sample(pts))
-        return f
-    for j in range(mesh.n_dofs):
-        node = mesh.dof_points[j]
+        shifts = [(np.full(d, mesh.h / 2.0), ww)]
+    else:
+        shifts = []
         for corner in np.ndindex(*(2,) * d):
-            origin = node - mesh.h * np.asarray(corner, dtype=float)
-            pts = origin + offs
-            hat = np.prod(1.0 - np.abs(pts - node) / mesh.h, axis=1)
-            f[j] += np.sum(ww * hat * sample(pts))
+            shift = mesh.h * np.asarray(corner, dtype=float)
+            hat = np.prod(1.0 - np.abs(offs - shift) / mesh.h, axis=1)
+            shifts.append((shift, ww * hat))
+    f = np.zeros(mesh.n_dofs, dtype=complex)
+    step = max(1, _TABLE_CELLS // ww.size)
+    for s in range(0, mesh.n_dofs, step):
+        nodes = mesh.dof_points[s:s + step]
+        for shift, wts in shifts:
+            pts = ((nodes - shift)[:, None, :] + offs).reshape(-1, d)
+            f[s:s + step] += np.reshape(sample(pts), (nodes.shape[0], -1)) @ wts
     return f
 
 

@@ -4,8 +4,13 @@ The sound-soft screen reduces to the single-layer equation -S_k phi = g_D for
 the normal-derivative jump; the sound-hard screen to T_k psi = g_N for the
 field jump.  Aperture problems reuse the same equations with halved data and
 half-space sign bookkeeping at field-evaluation time.  Scattered fields are
-evaluated by per-element Gauss quadrature of the layer-potential kernels;
-far-field patterns come out in closed form through the basis transforms.
+evaluated by per-element Gauss quadrature of the layer-potential kernels:
+blocks of points against blocks of quadrature nodes, each one kernel array
+(n=2: Hankel functions from the real-argument Bessel J and Y) contracted
+against the weighted density in one product.  Far-field patterns come out in
+closed form through the basis transforms: the dofs of a uniform mesh share
+one transform envelope, so the pattern is that envelope times one
+(directions x dofs) phase product.
 """
 
 from __future__ import annotations
@@ -14,17 +19,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.special import hankel1
+from scipy.special import j0, j1, y0, y1
 
-from .geometry import Mesh, Screen, build_mesh, dist_to_screen
+from .geometry import Mesh, Screen, build_mesh, dist_to_screen, distances_to_screen
 from .operators import (GalerkinSystem, assemble_hypersingular,
                         assemble_single_layer)
 from .sobolev import Density, WaveContext, rhs_functional
-from .spectral import mesh_dof_factors
+from .spectral import mesh_axis_factor
+from .spectral.engine import _TABLE_CELLS
+from .spectral.rules import gauss_legendre
 
 
 class NumericalError(RuntimeError):
     """Numerical failure (singular system, quadrature breakdown)."""
+
+
+def _hankel1(order: int, x: np.ndarray) -> np.ndarray:
+    """H^(1)_order(x) = J_order(x) + i Y_order(x) for real x > 0, order 0 or 1.
+
+    scipy's real-argument Bessel routines (Cephes) run about five times
+    faster than its complex-argument ``hankel1`` (AMOS) and agree with it to
+    rounding on real arguments.  The independent oracles
+    (``kernel_oracle_single_layer``, ``maue_oracle_hypersingular``,
+    ``truncated_kernel_ft``, ``cutoff_extension_norm``) deliberately keep
+    ``hankel1``, so that they share no Bessel code with this path.
+    """
+    j, y = (j0, y0) if order == 0 else (j1, y1)
+    out = np.empty(np.shape(x), dtype=complex)
+    j(x, out=out.real)
+    y(x, out=out.imag)
+    return out
 
 
 @dataclass
@@ -95,7 +119,7 @@ class TraceData:
             diff = pts - self.source[:d]
             rr = np.sqrt(np.sum(diff ** 2, axis=1) + self.source[d] ** 2)
             if d == 1:
-                vals = 0.25j * hankel1(0, self.k * rr)
+                vals = 0.25j * _hankel1(0, self.k * rr)
             else:
                 vals = np.exp(1j * self.k * rr) / (4.0 * np.pi * rr)
             return self.scale * vals
@@ -221,7 +245,7 @@ def solve_aperture_I(screen: Screen, ctx: WaveContext, g_I: TraceData,
 # ---------------------------------------------------------------------------
 def _element_rule(mesh: Mesh, k: float):
     n_g = int(min(24, max(8, np.ceil(k * mesh.h) + 6)))
-    x0, w0 = np.polynomial.legendre.leggauss(n_g)
+    x0, w0 = gauss_legendre(n_g)
     x0 = 0.5 * (x0 + 1.0) * mesh.h
     w0 = 0.5 * w0 * mesh.h
     if mesh.dim_screen == 1:
@@ -261,12 +285,38 @@ def _density_quad_points(sol: Solution):
             np.tile(ww, mesh.n_elements))
 
 
+def _kernel_block(single: bool, k: float, xt: np.ndarray, xn: np.ndarray,
+                  nodes: np.ndarray) -> np.ndarray:
+    """Layer-potential kernel between points (xt, xn) and screen nodes, less
+    the factors that depend on the point alone: H_0(kr) and H_1(kr)/r for
+    n=2, e^{ikr}/r and e^{ikr}(1-ikr)/r^3 for n=3, single layer (``single``)
+    and double layer."""
+    r2 = (xt[:, 0, None] - nodes[None, :, 0]) ** 2
+    for a in range(1, nodes.shape[1]):
+        r2 += (xt[:, a, None] - nodes[None, :, a]) ** 2
+    r2 += xn[:, None] ** 2
+    r = np.sqrt(r2)
+    kr = k * r
+    if nodes.shape[1] == 1:
+        if single:
+            return _hankel1(0, kr)
+        K = _hankel1(1, kr)
+    else:
+        K = np.exp(1j * kr)
+        if not single:
+            K *= 1.0 - 1j * kr
+            K /= r2
+    K /= r
+    return K
+
+
 def eval_field(sol: Solution, points) -> np.ndarray:
     """Scattered/diffracted field at points of R^n (off the screen closure).
 
     Problem S: u = -Scal_k phi;  problem T: u = Dcal_k psi; aperture problems
     apply the half-space signs u = -sign(x_n) Scal phi (I) and
-    u = sign(x_n) Dcal psi (H).
+    u = sign(x_n) Dcal psi (H).  Points and quadrature nodes go in blocks,
+    so that no kernel array exceeds ``_TABLE_CELLS`` cells.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     mesh = sol.density.mesh
@@ -274,7 +324,7 @@ def eval_field(sol: Solution, points) -> np.ndarray:
     if pts.shape[1] != screen.dim_ambient:
         raise ValueError("evaluation points have wrong ambient dimension")
     floor = 0.5 * mesh.h
-    dists = np.array([dist_to_screen(p, screen) for p in pts])
+    dists = distances_to_screen(pts, screen)
     if np.any(dists < floor):
         bad = np.nonzero(dists < floor)[0]
         raise ValueError(
@@ -284,28 +334,26 @@ def eval_field(sol: Solution, points) -> np.ndarray:
                          "must leave the screen plane")
 
     qp, qv, qw = _density_quad_points(sol)
+    dens = qw * qv
     k = sol.ctx.k
-    xt = pts[:, :-1]
-    xn = pts[:, -1]
-    diff = xt[:, None, :] - qp[None, :, :]
-    r = np.sqrt(np.sum(diff ** 2, axis=2) + xn[:, None] ** 2)
-    if sol.problem in ("S", "aperture_I"):
-        if screen.dim_ambient == 2:
-            kern = 0.25j * hankel1(0, k * r)
-        else:
-            kern = np.exp(1j * k * r) / (4.0 * np.pi * r)
-        u = -(kern * qw[None, :]) @ qv
+    xt, xn = pts[:, :-1], pts[:, -1]
+    single = sol.problem in ("S", "aperture_I")
+    q_step = min(dens.size, _TABLE_CELLS)
+    p_step = max(1, _TABLE_CELLS // q_step)
+    u = np.zeros(pts.shape[0], dtype=complex)
+    for s in range(0, pts.shape[0], p_step):
+        b = slice(s, s + p_step)
+        for t in range(0, dens.size, q_step):
+            q = slice(t, t + q_step)
+            u[b] += _kernel_block(single, k, xt[b], xn[b], qp[q]) @ dens[q]
+    if single:
+        u *= -0.25j if screen.dim_ambient == 2 else -1.0 / (4.0 * np.pi)
         if sol.problem == "aperture_I":
-            u = u * np.sign(xn)
+            u *= np.sign(xn)
     else:
-        if screen.dim_ambient == 2:
-            kern = 0.25j * k * hankel1(1, k * r) * xn[:, None] / r
-        else:
-            kern = xn[:, None] * np.exp(1j * k * r) * (1.0 - 1j * k * r) \
-                / (4.0 * np.pi * r ** 3)
-        u = (kern * qw[None, :]) @ qv
+        u *= (0.25j * k if screen.dim_ambient == 2 else 1.0 / (4.0 * np.pi)) * xn
         if sol.problem == "aperture_H":
-            u = u * np.sign(xn)
+            u *= np.sign(xn)
     return u if u.shape[0] > 1 else u[0]
 
 
@@ -313,7 +361,9 @@ def far_field(sol: Solution, directions) -> np.ndarray:
     """Far-field pattern u(R xhat) ~ e^{ikR} R^{-(n-1)/2} u_inf(xhat).
 
     Closed form through the basis transforms: the surface integrals
-    int e^{-ik xhat.y} basis_j(y) ds equal (2 pi)^{(n-1)/2} fhat_j(k xhat~).
+    int e^{-ik xhat.y} basis_j(y) ds equal (2 pi)^{(n-1)/2} fhat_j(k xhat~),
+    and fhat_j(xi) = prod_a b(xi_a) e^{-i c_j . xi} with one envelope b for
+    every dof of the mesh.
     """
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if not np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-10):
@@ -321,18 +371,15 @@ def far_field(sol: Solution, directions) -> np.ndarray:
     mesh = sol.density.mesh
     k = sol.ctx.k
     n = mesh.screen.dim_ambient
-    factors = mesh_dof_factors(mesh)
     c = sol.density.coefficients
     xi = k * dirs[:, :-1]
-    tw = (2.0 * np.pi) ** ((n - 1) / 2.0)
-    surf = np.zeros(dirs.shape[0], dtype=complex)
-    for j, fac in enumerate(factors):
-        if n == 2:
-            vals = fac[0].value(xi[:, 0])
-        else:
-            vals = fac[0].value(xi[:, 0]) * fac[1].value(xi[:, 1])
-        surf += c[j] * vals
-    surf *= tw
+    surf = np.empty(dirs.shape[0], dtype=complex)
+    step = max(1, _TABLE_CELLS // c.size)
+    for s in range(0, dirs.shape[0], step):
+        surf[s:s + step] = np.exp(-1j * (xi[s:s + step] @ mesh.dof_points.T)) @ c
+    surf *= (2.0 * np.pi) ** ((n - 1) / 2.0)
+    for a in range(n - 1):
+        surf *= mesh_axis_factor(mesh).value(xi[:, a])
 
     pref = 1.0 / (4.0 * np.pi) if n == 3 else np.exp(1j * np.pi / 4.0) \
         / np.sqrt(8.0 * np.pi * k)

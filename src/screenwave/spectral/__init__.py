@@ -2,8 +2,8 @@
 
 from .engine import (QuadratureError, SymbolKind, SymbolQuadrature, assemble,
                      assemble_mesh_matrix, basis_ft, bessel, build_quadrature,
-                     gradient_dof_factors, hypersingular, mesh_dof_factors,
-                     single_layer, symbol_integral, symbol_Z,
+                     gradient_dof_factors, hypersingular, mesh_axis_factor,
+                     mesh_dof_factors, single_layer, symbol_integral, symbol_Z,
                      truncated_kernel_ft)
 from .factors import AxisFactor, PairProfile, pair_profile, sinc
 
@@ -11,6 +11,6 @@ __all__ = [
     "AxisFactor", "PairProfile", "QuadratureError", "SymbolKind", "SymbolQuadrature",
     "assemble", "assemble_mesh_matrix", "basis_ft", "bessel",
     "build_quadrature", "gradient_dof_factors", "hypersingular",
-    "mesh_dof_factors", "pair_profile", "sinc", "single_layer",
+    "mesh_axis_factor", "mesh_dof_factors", "pair_profile", "sinc", "single_layer",
     "symbol_integral", "symbol_Z", "truncated_kernel_ft",
 ]

@@ -93,13 +93,15 @@ def symbol_Z(xi, k: float):
     return np.where(diff >= 0.0, root + 0.0j, 1j * root)[()]
 
 
+def mesh_axis_factor(mesh: Mesh, center: float = 0.0) -> AxisFactor:
+    """The 1-D Fourier factor of a mesh basis function at one axis centre;
+    every axis of every dof of a uniform mesh shares its kind and h."""
+    return AxisFactor("box" if mesh.basis_kind == "P0" else "hat", float(center), mesh.h)
+
+
 def mesh_dof_factors(mesh: Mesh) -> list[tuple[AxisFactor, ...]]:
     """Per-dof tuples of 1-D Fourier factors for a mesh."""
-    kind = "box" if mesh.basis_kind == "P0" else "hat"
-    out = []
-    for p in mesh.dof_points:
-        out.append(tuple(AxisFactor(kind, float(c), mesh.h) for c in p))
-    return out
+    return [tuple(mesh_axis_factor(mesh, c) for c in p) for p in mesh.dof_points]
 
 
 def gradient_dof_factors(mesh: Mesh, axis: int) -> list[tuple[AxisFactor, ...]]:

@@ -16,6 +16,7 @@ suffers cancellation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,21 @@ class PanelSpec:
     n_nodes: int
 
 
+@functools.cache
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    x0, w0 = np.polynomial.legendre.leggauss(order)
+    x0.flags.writeable = False
+    w0.flags.writeable = False
+    return x0, w0
+
+
 def gauss_panels(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights over consecutive [b_i, b_{i+1}]."""
-    x0, w0 = np.polynomial.legendre.leggauss(order)
+    x0, w0 = gauss_legendre(order)
     a = breaks[:-1][:, None]
     b = breaks[1:][:, None]
     nodes = 0.5 * (b - a) * x0[None, :] + 0.5 * (a + b)

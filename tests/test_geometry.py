@@ -3,6 +3,7 @@ import pytest
 
 from screenwave import (build_mesh, cantor_prefractal, dist_to_screen,
                         make_screen)
+from screenwave.geometry import distances_to_screen
 
 
 class TestMakeScreen:
@@ -100,6 +101,23 @@ class TestDistToScreen:
             d1 = dist_to_screen(pts[i], s)
             d2 = dist_to_screen(pts[i + 1], s)
             assert abs(d1 - d2) <= np.linalg.norm(pts[i] - pts[i + 1]) + 1e-12
+
+    def test_batched_rows_are_one_point_distances(self, rng):
+        s = cantor_prefractal(3, 2, 1 / 3)
+        pts = rng.uniform(-1, 2, size=(50, 3))
+        pts[:10, 2] = 0.0                       # in-plane points, some on boxes
+        got = distances_to_screen(pts, s)
+        assert got.shape == (50,)
+        assert np.array_equal(got, [dist_to_screen(p, s) for p in pts])
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 3, 3)])
+    def test_batched_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            distances_to_screen(np.zeros(shape), cantor_prefractal(3, 1, 1 / 3))
+
+    def test_one_point_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            dist_to_screen((0.5, 0.5, 1.0), make_screen(2, [(0.0, 1.0)]))
 
 
 class TestBuildMesh:

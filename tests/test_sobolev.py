@@ -2,11 +2,41 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from screenwave import build_mesh, make_screen
+from scipy.special import hankel1
+
+from screenwave import build_mesh, make_screen, sobolev
 from screenwave.sobolev import (Density, WaveContext, cutoff_extension_norm,
                                 discrete_dual_norm, gram, hsk_norm,
                                 rhs_functional)
-from screenwave.solver import (incident_dirichlet, point_source_dirichlet)
+from screenwave.solver import (TraceData, incident_dirichlet,
+                               incident_neumann, point_source_dirichlet)
+
+
+def _trace_ref(g: TraceData, pts: np.ndarray) -> np.ndarray:
+    """The trace of g written out, with scipy's hankel1 for 2-D sources."""
+    if g.kind == "plane_wave":
+        amp = g.amplitudes * (1j * g.k * g.directions[:, -1] if g.derivative else 1.0)
+        return g.scale * np.exp(1j * g.k * pts @ g.directions[:, :-1].T) @ amp
+    rr = np.sqrt(np.sum((pts - g.source[:-1]) ** 2, axis=1) + g.source[-1] ** 2)
+    if pts.shape[1] == 1:
+        return g.scale * 0.25j * hankel1(0, g.k * rr)
+    return g.scale * np.exp(1j * g.k * rr) / (4 * np.pi * rr)
+
+
+def _rhs_loop(g: TraceData, mesh, ctx) -> np.ndarray:
+    """Per-dof, per-element sums of the trace against the basis function."""
+    offs, ww = sobolev._element_quadrature(mesh, ctx.k, g.quad_scale(mesh))
+    d = mesh.dim_screen
+    f = np.zeros(mesh.n_dofs, dtype=complex)
+    for j, node in enumerate(mesh.dof_points):
+        if mesh.basis_kind == "P0":
+            f[j] = np.sum(ww * _trace_ref(g, node - mesh.h / 2 + offs))
+            continue
+        for corner in np.ndindex(*(2,) * d):
+            pts = node - mesh.h * np.asarray(corner, dtype=float) + offs
+            hat = np.prod(1 - np.abs(pts - node) / mesh.h, axis=1)
+            f[j] += np.sum(ww * hat * _trace_ref(g, pts))
+    return f
 
 
 class TestGram:
@@ -190,6 +220,29 @@ class TestRhsFunctional:
                     + 1j * quad(integrand_im, 0, 1, limit=200)[0])
         f = rhs_functional(g, mesh, ctx)
         assert f[0] == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("basis", ["P0", "P1"])
+    @pytest.mark.parametrize("n, data", [(2, "plane_wave"), (2, "point_source"),
+                                         (3, "plane_wave"), (3, "point_source")])
+    def test_against_dof_loop(self, n, data, basis, monkeypatch):
+        if n == 2:
+            screen, h = make_screen(2, [(0.0, 0.5), (0.75, 1.0)]), 1 / 16
+            d, src = [0.6, -0.8], (0.3, 0.02)
+        else:
+            screen = make_screen(3, [((0.0, 0.0), (1.0, 0.5)), ((0.0, 0.75), (0.5, 1.0))])
+            h, d, src = 1 / 8, [0.3, 0.2, -np.sqrt(0.87)], (0.3, 0.6, 0.05)
+        ctx = WaveContext(9.0)
+        g = (point_source_dirichlet(ctx, src) if data == "point_source"
+             else incident_neumann(ctx, [d]) if basis == "P1"
+             else incident_dirichlet(ctx, [d]))
+        mesh = build_mesh(screen, h, basis)
+        ref = _rhs_loop(g, mesh, ctx)
+        f = rhs_functional(g, mesh, ctx)
+        assert np.abs(f - ref).max() <= 1e-13 * np.abs(ref).max()
+        # dof blocks of a few hundred rule points: the same sums, at most
+        # taken by another BLAS kernel
+        monkeypatch.setattr(sobolev, "_TABLE_CELLS", 300)
+        assert np.abs(rhs_functional(g, mesh, ctx) - f).max() <= 1e-15 * np.abs(f).max()
 
     def test_p1_hat_weighting(self, p1_mesh):
         f = rhs_functional(lambda pts: np.ones(len(pts)), p1_mesh,

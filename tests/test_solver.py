@@ -1,13 +1,95 @@
 import numpy as np
 import pytest
+from scipy.special import hankel1
 
-from screenwave import build_mesh, make_screen
-from screenwave.sobolev import WaveContext, discrete_dual_norm, gram
-from screenwave.solver import (TraceData, aperture_h_data, aperture_i_data,
-                               eval_field, far_field, incident_dirichlet,
-                               incident_neumann, point_source_dirichlet,
-                               solve_aperture_H, solve_aperture_I,
-                               solve_problem_S, solve_problem_T)
+from screenwave import build_mesh, make_screen, solver
+from screenwave.geometry import basis_value
+from screenwave.sobolev import Density, WaveContext, discrete_dual_norm, gram
+from screenwave.solver import (Solution, TraceData, aperture_h_data,
+                               aperture_i_data, eval_field, far_field,
+                               incident_dirichlet, incident_neumann,
+                               point_source_dirichlet, solve_aperture_H,
+                               solve_aperture_I, solve_problem_S,
+                               solve_problem_T)
+from screenwave.spectral.factors import AxisFactor
+
+# (screen, h) per ambient dimension for the loop-reference comparisons
+REF_SCREENS = {
+    2: (make_screen(2, [(0.0, 0.5), (0.75, 1.0)]), 1 / 16),
+    3: (make_screen(3, [((0.0, 0.0), (1.0, 0.5)), ((0.0, 0.75), (0.5, 1.0))]), 1 / 8),
+}
+REF_POINTS = {
+    2: np.array([[0.3, 0.2], [1.4, -0.5], [-0.2, 0.05], [0.6, -0.04], [3.0, 2.0]]),
+    3: np.array([[0.3, 0.2, 0.2], [1.4, -0.5, -0.3], [0.6, 0.6, 0.13],
+                 [0.2, 0.9, -0.7], [3.0, 2.0, 1.0]]),
+}
+PROBLEM_BASIS = {"S": "P0", "aperture_I": "P0", "T": "P1", "aperture_H": "P1"}
+
+
+def _random_solution(n: int, problem: str, k: float = 7.0) -> Solution:
+    screen, h = REF_SCREENS[n]
+    mesh = build_mesh(screen, h, PROBLEM_BASIS[problem])
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal(mesh.n_dofs) + 1j * rng.standard_normal(mesh.n_dofs)
+    return Solution(Density(mesh, c), problem, WaveContext(k), None, None)
+
+
+def _field_loop(sol: Solution, pts: np.ndarray) -> np.ndarray:
+    """Per-point, per-element layer potentials with scipy's hankel1."""
+    mesh, k = sol.density.mesh, sol.ctx.k
+    c = sol.density.coefficients
+    offs, ww = solver._element_rule(mesh, k)
+    single = sol.problem in ("S", "aperture_I")
+    elements = []
+    for e in range(mesh.n_elements):
+        y = mesh.element_center[e] - mesh.h / 2.0 + offs
+        dens = sum(c[j] * basis_value(mesh, j, y) for j in range(mesh.n_dofs))
+        elements.append((y, ww * dens))
+    out = []
+    for x in pts:
+        u = 0j
+        for y, wd in elements:
+            r = np.sqrt(np.sum((x[:-1] - y) ** 2, axis=1) + x[-1] ** 2)
+            if len(x) == 2:
+                kern = (0.25j * hankel1(0, k * r) if single
+                        else 0.25j * k * hankel1(1, k * r) * x[-1] / r)
+            else:
+                kern = (np.exp(1j * k * r) / (4 * np.pi * r) if single
+                        else x[-1] * np.exp(1j * k * r) * (1 - 1j * k * r)
+                        / (4 * np.pi * r ** 3))
+            u += np.sum(kern * wd)
+        sign = np.sign(x[-1]) if sol.problem.startswith("aperture") else 1.0
+        out.append(-sign * u if single else sign * u)
+    return np.array(out)
+
+
+def _far_field_loop(sol: Solution, dirs: np.ndarray) -> np.ndarray:
+    """Sum over dofs of the per-axis AxisFactor transforms."""
+    mesh, k = sol.density.mesh, sol.ctx.k
+    n = mesh.screen.dim_ambient
+    kind = "box" if mesh.basis_kind == "P0" else "hat"
+    xi = k * dirs[:, :-1]
+    surf = 0j
+    for cj, p in zip(sol.density.coefficients, mesh.dof_points):
+        vals = cj
+        for a in range(n - 1):
+            vals = vals * AxisFactor(kind, float(p[a]), mesh.h).value(xi[:, a])
+        surf = surf + vals
+    surf = surf * (2 * np.pi) ** ((n - 1) / 2)
+    pref = 1 / (4 * np.pi) if n == 3 else np.exp(1j * np.pi / 4) / np.sqrt(8 * np.pi * k)
+    up = np.sign(dirs[:, -1])
+    return {"S": -pref * surf, "aperture_I": pref * up * surf,
+            "T": -1j * k * pref * dirs[:, -1] * surf,
+            "aperture_H": -1j * k * pref * dirs[:, -1] * up * surf}[sol.problem]
+
+
+def _directions(n: int, m: int = 41) -> np.ndarray:
+    t = np.linspace(0.05, 2 * np.pi, m)
+    if n == 2:
+        return np.column_stack([np.cos(t), np.sin(t)])
+    z = np.linspace(-0.95, 0.95, m)
+    s = np.sqrt(1 - z * z)
+    return np.column_stack([s * np.cos(3 * t), s * np.sin(3 * t), z])
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +116,14 @@ class TestTraceData:
         g = incident_dirichlet(ctx, [[0.0, -1.0]])
         vals = g.sample(np.array([[0.25], [0.5]]))
         assert np.allclose(vals, -1.0)   # e^{ik x~ . d~} with d~ = 0
+
+    @pytest.mark.parametrize("source", [(0.3, 0.25), (2.0, -1e-3)])
+    def test_point_source_2d_matches_hankel1(self, ctx, source):
+        g = point_source_dirichlet(ctx, source)
+        pts = np.linspace(-1.0, 3.0, 101)[:, None]
+        rr = np.hypot(pts[:, 0] - source[0], source[1])
+        ref = -0.25j * hankel1(0, ctx.k * rr)
+        assert np.abs(g.sample(pts) - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_superposition(self, ctx):
         g = TraceData("plane_wave", "dirichlet", ctx.k,
@@ -117,9 +207,7 @@ class TestEvalField:
         make_screen(3, [((0.0, 0.0), (1.0, 0.5)), ((1.0, 0.0), (1.5, 0.5))]),
     ])
     def test_p1_density_at_quadrature_points(self, screen, ctx, rng):
-        from screenwave.geometry import basis_value
-        from screenwave.sobolev import Density
-        from screenwave.solver import Solution, _density_quad_points
+        from screenwave.solver import _density_quad_points
 
         mesh = build_mesh(screen, 0.125, "P1")
         c = rng.standard_normal(mesh.n_dofs) + 1j * rng.standard_normal(mesh.n_dofs)
@@ -146,6 +234,37 @@ class TestEvalField:
             r = -C @ sol.density.coefficients - f_fine
             res.append(discrete_dual_norm(r, G_fine))
         assert res[1] < res[0] and res[2] < res[1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("problem", ["S", "T", "aperture_H", "aperture_I"])
+class TestAgainstLoops:
+    def test_eval_field(self, n, problem):
+        sol = _random_solution(n, problem)
+        ref = _field_loop(sol, REF_POINTS[n])
+        got = eval_field(sol, REF_POINTS[n])
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_far_field(self, n, problem):
+        sol = _random_solution(n, problem)
+        ref = _far_field_loop(sol, _directions(n))
+        got = far_field(sol, _directions(n))
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_blocks_under_a_small_budget(self, n, problem, monkeypatch):
+        sol = _random_solution(n, problem)
+        pts, dirs = REF_POINTS[n], _directions(n)
+        u, ff = eval_field(sol, pts), far_field(sol, dirs)
+        q = solver._density_quad_points(sol)[2].size
+        # three node rows per block splits the points (and directions) only,
+        # so every sum keeps its order
+        monkeypatch.setattr(solver, "_TABLE_CELLS", 3 * q)
+        assert np.abs(eval_field(sol, pts) - u).max() <= 1e-15 * np.abs(u).max()
+        assert np.abs(far_field(sol, dirs) - ff).max() <= 1e-15 * np.abs(ff).max()
+        # a third of the nodes per block reorders each sum of q terms, which
+        # cancel about tenfold on these random densities
+        monkeypatch.setattr(solver, "_TABLE_CELLS", q // 3)
+        assert np.abs(eval_field(sol, pts) - u).max() <= 1e-14 * np.abs(u).max()
 
 
 class TestFarField:

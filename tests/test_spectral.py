@@ -14,6 +14,7 @@ from screenwave.spectral import (assemble, assemble_mesh_matrix, basis_ft,
                                  symbol_integral, symbol_Z,
                                  truncated_kernel_ft)
 from screenwave.spectral.factors import AxisFactor
+from screenwave.spectral.rules import gauss_legendre, gauss_panels
 from screenwave.spectral.tails import expint, halfline_osc_integral
 
 SQRT2PI = np.sqrt(2 * np.pi)
@@ -74,6 +75,18 @@ class TestBasisFT:
             xi = np.linspace(2.0, 47.0, 23)
             recon = sum(a * np.exp(1j * w * xi) for a, w in terms) / xi ** p
             assert np.allclose(recon, f.value(xi), atol=1e-14)
+
+
+class TestGaussLegendre:
+    def test_cached_read_only_and_unchanged(self):
+        x, w = gauss_legendre(12)
+        x0, w0 = np.polynomial.legendre.leggauss(12)
+        assert np.array_equal(x, x0) and np.array_equal(w, w0)
+        assert gauss_legendre(12)[0] is x
+        assert not (x.flags.writeable or w.flags.writeable)
+        nodes, weights = gauss_panels(np.array([0.0, 0.5, 2.0]), 12)
+        assert nodes.flags.writeable and weights.flags.writeable
+        assert np.array_equal(nodes[:12], 0.25 * x0 + 0.25)
 
 
 class TestBuildQuadrature:
