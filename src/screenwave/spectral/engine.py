@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import hankel1, j0
 
 from ..geometry import Mesh
-from .factors import AxisFactor, pair_profile
+from .factors import AxisFactor, pair_profile, pair_terms, snap_frequencies
 from .rules import PanelSpec, gauss_panels, radial_rule, sigma_plain, split_interval
 from .tails import (QuadratureError, VGrid, build_axis_table, profile_tails,
                     required_axis_Y, symbol_series, symbol_series_remainder,
@@ -292,11 +292,11 @@ class SymbolQuadrature:
 
     def _finite_table(self, deltas) -> np.ndarray:
         """sum_q w_q P(xi_q) prod_a cos(delta_a xi_qa) for every combination of
-        per-axis keys: n=2 folds the line onto the half-line rule (factor 2),
-        n=3 is (cos(dx xi1) w P) @ cos(dy xi2)^T.  Nodes go in batches of
-        about ``_TABLE_CELLS`` table cells."""
+        per-axis keys: n=2 folds the line onto the half-line rule (factor 2)
+        and contracts cos(delta xi) against the columns Re(wP), Im(wP); n=3 is
+        (cos(dx xi1) w P) @ cos(dy xi2)^T.  Nodes go in batches of about
+        ``_TABLE_CELLS`` table cells."""
         pairs = [(self.rows.factor(a), self.cols.factor(a)) for a in range(self.dim)]
-        n_x = deltas[0].size
         step = max(1, _TABLE_CELLS // max(d.size for d in deltas))
         acc = 0.0
         for s in range(0, self.w.size, step):
@@ -306,19 +306,45 @@ class SymbolQuadrature:
             for (f, g), xi, delta in zip(pairs, self.nodes, deltas):
                 wP = wP * (f.value(xi[b]) * np.conj(g.value(xi[b]))).real
                 cos.append(np.cos(np.outer(delta, xi[b])))
-            lhs = np.concatenate([cos[0] * wP.real, cos[0] * wP.imag])
-            # the n=2 table is a single column
-            acc = acc + lhs @ (cos[1].T if self.dim == 2 else np.ones((lhs.shape[1], 1)))
-        table = acc[:n_x] + 1j * acc[n_x:]
-        return table if self.dim == 2 else 2.0 * table[:, 0]
+            if self.dim == 1:
+                acc = acc + cos[0] @ np.column_stack([wP.real, wP.imag])
+            else:
+                lhs = np.concatenate([cos[0] * wP.real, cos[0] * wP.imag])
+                acc = acc + lhs @ cos[1].T
+        if self.dim == 1:
+            return 2.0 * (acc[:, 0] + 1j * acc[:, 1])
+        n_x = deltas[0].size
+        return acc[:n_x] + 1j * acc[n_x:]
 
     def _tail_table(self, deltas) -> np.ndarray:
-        """Part of each table entry beyond the finite rule: |xi| > X (n=2, all
-        keys in one array pass) or the exterior of the square max|xi_a| > X
-        (n=3, from one axis table per x key and per y key)."""
+        """Part of each table entry beyond the finite rule: |xi| > X (n=2) or
+        the exterior of the square max|xi_a| > X (n=3, from one axis table per
+        x key and per y key).
+
+        n=2 takes every key in one array pass.  The pair terms of the two
+        families at offset 0 give, at offset delta, the same coefficients c_t
+        and the frequencies nu_t - delta.  The P0 tail is a second difference
+        in nu and the P1 tail a fourth, so a key's frequencies must be
+        consistent to far below an ulp of double.  When the term frequencies
+        and the keys lie on the lattice of step min(h)/2 (to the key
+        resolution, as on every ``build_mesh`` mesh), each key is snapped to
+        j*step and nu_t = (i_t - j)*step is formed in long double: exact, and
+        shared bit for bit by every key that meets it.  Otherwise nu_t comes
+        from one long-double subtraction with ``snap_frequencies``.
+        """
         if self.dim == 1:
-            return profile_tails([self._profile(0, d) for d in deltas[0]],
-                                 self.sigma_terms, self.xi_max)
+            f, g = self.rows.factor(0), self.cols.factor(0)
+            q, c, wf, wg = pair_terms(f, g)
+            step = 0.5 * min(f.h, g.h)
+            grid = np.concatenate([wf, wg, deltas[0]])
+            index = np.rint(grid / step)
+            if np.all(np.abs(grid - index * step) <= 0.5 * 10.0 ** -_KEY_DIGITS):
+                i_f, i_g, j = np.split(index, [wf.size, 2 * wf.size])
+                nu = (i_f - i_g - j[:, None]) * np.longdouble(step)
+            else:
+                wf_key = wf - deltas[0][:, None].astype(np.longdouble)
+                nu = snap_frequencies(wf_key - wg, wf_key, wg)
+            return profile_tails(c, nu, q, self.sigma_terms, self.xi_max)
         tables: dict = {}
 
         def axis_table(axis, delta):
@@ -326,7 +352,8 @@ class SymbolQuadrature:
             key = (self.rows.kinds[axis], self.rows.h[axis], self.cols.h[axis],
                    self.other_abs[axis], round(float(delta), _KEY_DIGITS))
             if key not in tables:
-                prof = self._profile(axis, delta)
+                prof = pair_profile(self.rows.factor(axis, float(delta)),
+                                    self.cols.factor(axis))
                 Y = required_axis_Y(prof, self.other_abs[axis], self.tol / 8.0,
                                     self.has_subtracted)
                 tables[key] = build_axis_table(prof, self.xi_max, Y, self.omega,
@@ -339,10 +366,6 @@ class SymbolQuadrature:
         return np.array([[sum(coef * tensor_tail_term(p, tx, ty, self.vgrid)
                               for coef, p in self.sigma_terms) for ty in ay]
                          for tx in ax])
-
-    def _profile(self, axis: int, delta: float):
-        """Pair profile of one axis at centre offset delta."""
-        return pair_profile(self.rows.factor(axis, float(delta)), self.cols.factor(axis))
 
 
 def _choose_series_order(kind, X, budget, env_of_p, m_cap: int = 60):

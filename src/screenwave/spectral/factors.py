@@ -110,21 +110,40 @@ class PairProfile:
         return min(nz) if nz else np.inf
 
 
-def pair_profile(f: AxisFactor, g: AxisFactor) -> PairProfile:
+def pair_terms(f: AxisFactor, g: AxisFactor):
+    """Unmerged large-|xi| terms of f(xi) * conj(g(xi)) for real xi > 0:
+
+        xi^{-q} sum_t c_t exp(i (wf_t - wg_t) xi),
+
+    one term per pair of a term of f (outer) and of g.  Returns (q, c, wf, wg)
+    with c, wf and wg arrays over t.
+    """
     pf, tf = f.exp_terms()
     pg, tg = g.exp_terms()
+    af, wf = np.array([a for a, _ in tf]), np.array([w for _, w in tf])
+    ag, wg = np.array([a for a, _ in tg]), np.array([w for _, w in tg])
+    c = np.multiply.outer(af, np.conj(ag)).ravel()
+    return pf + pg, c, np.repeat(wf, wg.size), np.tile(wg, wf.size)
+
+
+def snap_frequencies(nu, wf, wg):
+    """nu = wf - wg, with rounding residue set to 0.
+
+    Equal frequencies of off-lattice centres can differ by rounding; such a
+    nu is a DC term, not an oscillation of period ~1e17.  No
+    integration-by-parts bound can use it, and near order 1 the half-line
+    integral X^{1-m} E_m(-i nu X) at such a nu is far from the DC value.
+    Works elementwise on arrays.
+    """
+    return np.where(np.abs(nu) <= _FREQ_SNAP * np.maximum(np.abs(wf), np.abs(wg)),
+                    0.0, nu)
+
+
+def pair_profile(f: AxisFactor, g: AxisFactor) -> PairProfile:
+    """``pair_terms`` with terms of equal frequency merged."""
+    q, c, wf, wg = pair_terms(f, g)
     acc: dict[float, complex] = {}
-    # conj(g)(xi) = sum conj(a) e^{-i w xi} / xi^{pg} for real xi (pg even in
-    # xi only matters through the power; sign of xi handled by callers who
-    # integrate over xi > 0 and mirror by conjugate symmetry).
-    for af, wf in tf:
-        for ag, wg in tg:
-            nu = wf - wg
-            # equal frequencies of off-lattice centres (h = 1/6, say) can
-            # differ by rounding; such a nu is a DC term, not an oscillation
-            # of period ~1e17 that no integration-by-parts bound can use
-            if abs(nu) <= _FREQ_SNAP * max(abs(wf), abs(wg)):
-                nu = 0.0
-            acc[nu] = acc.get(nu, 0.0) + af * np.conj(ag)
+    for ct, nu in zip(c, snap_frequencies(wf - wg, wf, wg)):
+        acc[nu] = acc.get(nu, 0.0) + ct
     terms = tuple(sorted(((c, nu) for nu, c in acc.items()), key=lambda t: t[1]))
-    return PairProfile(f=f, g=g, q=pf + pg, terms=terms)
+    return PairProfile(f=f, g=g, q=q, terms=terms)

@@ -5,9 +5,13 @@ Beyond a split radius X >= 2.5k the symbols admit geometric expansions in
 the basis-product factors the leftover integrals reduce to
 
 * n=2:  integrals  int_X^inf e^{i nu xi} xi^{-m} d xi  = X^{1-m} E_m(-i nu X),
-  evaluated through the generalized exponential integral (power series for
-  |z| < 1, long-double continued fraction beyond) in one array pass over
-  every term of every entry, and
+  in one array pass over every term of every table key.  The orders of
+  one plan form a ladder m_0 + 2j; each distinct frequency gets all of them
+  from one long-double evaluation: the power series below |z| = 1, beyond
+  it one continued fraction at the order nearest |z| and the order
+  recurrence run outward from there.  The sums over orders and terms stay in
+  long double, because the P0 and P1 tails are second and fourth
+  differences in nu that amplify rounding by (h X)^-2 and (h X)^-4; and
 
 * n=3:  exterior-of-square integrals of |xi|^p * P(xi) for separable P,
   computed through the heat-kernel factorization
@@ -74,9 +78,11 @@ def _expint_series(m: np.ndarray, z: np.ndarray) -> np.ndarray:
         G = -(-z)^{n-1}/(n-1)! * expm1(e (log z + g)) / e.
 
     At e = 0 the quotient is log z - psi(n), which is 8.19.8 for integer m.
+    The sum runs in the precision of m and z; n, e and g are doubles, whose
+    rounding is the same for every z of one order.
     """
     orders, inverse = np.unique(m, return_inverse=True)
-    n, e, g = np.array([_order_terms(v) for v in orders])[inverse.reshape(-1)].T
+    n, e, g = np.array([_order_terms(float(v)) for v in orders])[inverse.reshape(-1)].T
     logz = np.log(z)
     safe_e = np.where(e == 0.0, 1.0, e)
     ratio = np.where(e == 0.0, logz + g, np.expm1(e * (logz + g)) / safe_e)
@@ -91,7 +97,7 @@ def _expint_series(m: np.ndarray, z: np.ndarray) -> np.ndarray:
         total = total + np.where(at_pole, 0.0, term / np.where(at_pole, 1.0, k + 1.0 - m))
         k += 1
         term = term * (-z / k)
-        if k >= n.max() and np.max(np.abs(term)) < 1e-18:
+        if k >= n.max() and np.max(np.abs(term)) < 1e-22:
             return -pole * ratio - total
 
 
@@ -99,13 +105,13 @@ def _expint_cf(m: np.ndarray, z: np.ndarray, maxiter: int = 400) -> np.ndarray:
     """E_m(z) by modified Lentz continued fraction (good for |z| >= ~1).
 
     All arguments iterate together; each leaves the batch as it converges.
-    The iteration runs in long double: in double its rounding leaves
-    ~1e-14 relative at |z| = 1, which the near-cancelling profile sums of
-    P1 tails (fourth differences in nu) amplify a thousandfold.
+    The iteration and its long-double result keep ~1e-19 relative: in double
+    its rounding leaves ~1e-14 at |z| = 1, which the near-cancelling profile
+    sums of P1 tails (fourth differences in nu) amplify a thousandfold.
     """
     m = m.astype(np.longdouble)
     z = z.astype(np.clongdouble)
-    out = np.empty(z.shape, dtype=complex)
+    out = np.empty(z.shape, dtype=np.clongdouble)
     idx = np.arange(z.size)
     b = z + m
     c = np.full(z.shape, 1e300, dtype=np.clongdouble)   # 1 / tiny
@@ -128,22 +134,55 @@ def _expint_cf(m: np.ndarray, z: np.ndarray, maxiter: int = 400) -> np.ndarray:
     return out
 
 
+def _expint_ladder(m0: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """E_{m0+j}(z) for j = 0..n-1: a (z.size, n) long-double array for 1-D
+    m0 and z.
+
+    Everything runs in long double.  Below |z| = 1 every order comes from
+    the power series.  From there on, one continued fraction gives the order
+    nearest |z| (clipped to the ladder), and the recurrence (DLMF 8.19.12)
+
+        p E_{p+1}(z) + z E_p(z) = e^{-z}
+
+    runs up from it while p >= |z| and down while p <= |z|.  In those
+    directions each step scales the error it inherits by |z|/p or p/|z|,
+    at most about 1, so the ladder keeps the fraction's long-double accuracy.
+    """
+    m0, z = m0.astype(np.longdouble), z.astype(np.clongdouble)
+    out = np.empty((z.size, n), dtype=np.clongdouble)
+    near = np.abs(z) < _SERIES_RADIUS
+    if near.any():
+        orders = m0[near, None] + np.arange(n)
+        zs = np.broadcast_to(z[near, None], orders.shape)
+        out[near] = _expint_series(orders.ravel(), zs.ravel()).reshape(orders.shape)
+    far = ~near
+    if far.any():
+        z = z[far]
+        p = m0[far, None] + np.arange(n)
+        start = np.clip(np.rint(np.abs(z) - p[:, 0]), 0, n - 1).astype(int)
+        ez = np.exp(-z)
+        E = np.empty(p.shape, dtype=np.clongdouble)
+        rows = np.arange(z.size)
+        E[rows, start] = _expint_cf(p[rows, start], z)
+        for j in range(n - 1):
+            up = start <= j
+            E[up, j + 1] = (ez[up] - z[up] * E[up, j]) / p[up, j]
+        for j in range(n - 2, -1, -1):
+            down = start > j
+            E[down, j] = (ez[down] - p[down, j] * E[down, j + 1]) / z[down]
+        out[far] = E
+    return out
+
+
 def expint(m, z) -> np.ndarray:
     """Generalized exponential integral E_m(z), complex z, real order m > 0.
 
-    Array-valued over broadcast (m, z): the power series below |z| = 1,
-    the continued fraction from there on.
+    Array-valued over broadcast (m, z): the one-order case of
+    ``_expint_ladder``, rounded to double.
     """
     m, z = np.broadcast_arrays(np.asarray(m, dtype=float),
                                np.asarray(z, dtype=complex))
-    out = np.empty(z.shape, dtype=complex)
-    near = np.abs(z) < _SERIES_RADIUS
-    if near.any():
-        out[near] = _expint_series(m[near], z[near])
-    far = ~near
-    if far.any():
-        out[far] = _expint_cf(m[far], z[far])
-    return out
+    return _expint_ladder(m.ravel(), z.ravel(), 1).reshape(z.shape).astype(complex)
 
 
 def halfline_osc_integral(m, nu, X: float) -> np.ndarray:
@@ -160,30 +199,37 @@ def halfline_osc_integral(m, nu, X: float) -> np.ndarray:
     return out
 
 
-def profile_tails(profiles, series, X: float) -> np.ndarray:
-    """sum_s coef_s int_{|xi| > X} |xi|^{p_s} F(xi) d xi for each profile F.
+def profile_tails(c, nu, q: int, series, X: float) -> np.ndarray:
+    """sum_s coef_s int_{|xi| > X} |xi|^{p_s} F_k(xi) d xi for each row k of
 
-    ``series`` holds the (coef_s, p_s) pairs.  The half-line integrals of
-    all profiles come from one ``halfline_osc_integral`` call, once per
-    distinct (q, nu), and are summed per profile.
+        F_k(xi) = xi^{-q} sum_t c[k, t] e^{i nu[k, t] xi}      (xi > 0),
+
+    with F_k(-xi) = conj(F_k(xi)).  ``nu`` is a (K, T) array and ``c``
+    broadcasts against it.  ``series`` holds the (coef_s, p_s) pairs, whose
+    orders m_s = q - p_s lie on one ladder m_0 + 2j.  Frequencies equal bit
+    for bit share one ``_expint_ladder`` row; the half-line sums against the
+    series and the contraction over t run in long double, and each row is
+    rounded once.
     """
-    coef = np.array([c for c, _ in series], dtype=float)
-    p = np.array([q for _, q in series], dtype=float)
-    counts = [len(prof.terms) for prof in profiles]
-    owner = np.repeat(np.arange(len(profiles)), counts)
-    c_t = np.array([c for prof in profiles for c, _ in prof.terms], dtype=complex)
-    nu = np.array([v for prof in profiles for _, v in prof.terms], dtype=float)
-    q = np.repeat(np.array([prof.q for prof in profiles], dtype=float), counts)
-    # profiles of lattice offsets share most (q, nu): evaluate each once
-    key, back = np.unique(q + 1j * nu, return_inverse=True)
-    vals = halfline_osc_integral(key.real[:, None] - p, key.imag[:, None], X)
-    vals = vals[back.reshape(-1)]
+    coef = np.array([a for a, _ in series], dtype=np.longdouble)
+    m = q - np.array([p for _, p in series], dtype=np.longdouble)
+    rung = np.rint(m - m.min()).astype(int)
+    w = coef * np.longdouble(X) ** (1.0 - m)
+    freq, back = np.unique(nu, return_inverse=True)
     # |xi|^p F(xi) on xi < -X is (-1)^q times the nu -> -nu integral, which
     # for real m is the complex conjugate
-    sgn = np.where(q % 2 == 0, 1.0, -1.0)[:, None]
-    per_term = c_t * ((vals + sgn * vals.conj()) @ coef)
-    return (np.bincount(owner, per_term.real, minlength=len(profiles))
-            + 1j * np.bincount(owner, per_term.imag, minlength=len(profiles)))
+    sgn = 1.0 if q % 2 == 0 else -1.0
+    per_freq = np.empty(freq.shape, dtype=np.clongdouble)
+    dc = freq == 0.0
+    if dc.any():
+        if m.min() <= 1.0:
+            raise ValueError("profile_tails: divergent DC tail (m <= 1)")
+        per_freq[dc] = (1.0 + sgn) * np.sum(w / (m - 1.0))
+    osc = ~dc
+    z = -1j * freq[osc] * np.longdouble(X)
+    E = _expint_ladder(np.full(z.size, m.min()), z, rung.max() + 1)[:, rung]
+    per_freq[osc] = (E + sgn * E.conj()) @ w
+    return np.sum(c * per_freq[back.reshape(nu.shape)], axis=1).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +423,8 @@ def build_axis_table(profile: PairProfile, X: float, Y: float, omega: float,
     if q >= 4:
         m2_rule = (2.0 * float(np.sum(np.real(w_d * F_d) * xi_d ** 2))
                    + 2.0 * float(np.sum(np.real(w_e * F_e) * xi_e ** 2)))
-        m2_tail = np.real(profile_tails([profile], [(1.0, 2.0)], Y)[0])
+        c, nu = np.array(profile.terms).T
+        m2_tail = np.real(profile_tails(c, nu.real[None], q, [(1.0, 2.0)], Y)[0])
         m2_full = m2_rule + float(m2_tail)
     else:
         m2_full = float("nan")

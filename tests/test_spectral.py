@@ -13,7 +13,9 @@ from screenwave.spectral import (assemble, assemble_mesh_matrix, basis_ft,
                                  mesh_dof_factors, single_layer,
                                  symbol_integral, symbol_Z,
                                  truncated_kernel_ft)
-from screenwave.spectral.factors import AxisFactor
+from screenwave.spectral import tails
+from screenwave.spectral.engine import SymbolQuadrature, _Family
+from screenwave.spectral.factors import AxisFactor, pair_profile
 from screenwave.spectral.rules import gauss_legendre, gauss_panels
 from screenwave.spectral.tails import expint, halfline_osc_integral
 
@@ -250,12 +252,142 @@ class TestExpint:
         ref = np.concatenate([ref, ref.conj()])
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
+    def test_ladder_against_mpmath(self):
+        """Orders m0 ... m0+24 from one start order per argument: the start
+        below, inside and above the ladder, both recurrence directions and
+        both sides of the series/continued-fraction switch."""
+        import mpmath as mp
+
+        mp.mp.dps = 30
+        radii = np.array([1.0, 1.5, 3.0, 7.99, 8.01, 20.0, 40.0, 80.0])
+        z = np.concatenate([-1j * radii, 1j * radii])
+        for m0 in (3.0, 3.2, 2.6, 1.0 + 1e-3):
+            got = tails._expint_ladder(np.full(z.size, m0), z, 25)
+            ref = np.array([[complex(mp.expint(mp.mpf(m0) + j, mp.mpc(0.0, b.imag)))
+                             for j in range(25)] for b in z])
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
     def test_divergent_dc_tail_raises(self):
         for m in (1.0, 0.5):
             with pytest.raises(ValueError, match="divergent"):
                 halfline_osc_integral(m, 0.0, 40.0)
         with pytest.raises(ValueError, match="divergent"):
             halfline_osc_integral(np.array([3.0, 1.0]), np.array([0.5, 0.0]), 40.0)
+
+
+def _line_plan(kind, rows, cols=None, tol=1e-10):
+    fam = _Family.read(rows)
+    return SymbolQuadrature(kind, fam, fam if cols is None else _Family.read(cols), tol)
+
+
+def _line_keys(quad):
+    """The offset keys ``matrix()`` evaluates the table at."""
+    delta = np.abs(np.subtract.outer(quad.rows.centers[:, 0],
+                                     quad.cols.centers[:, 0])).ravel()
+    return delta[np.unique(np.round(delta, 12), return_index=True)[1]]
+
+
+def _per_key_tails(quad, deltas):
+    """Each key's pair profile and one half-line integral per (order, term)."""
+    out = []
+    for d in deltas:
+        prof = pair_profile(quad.rows.factor(0, float(d)), quad.cols.factor(0))
+        c = np.array([a for a, _ in prof.terms])
+        nu = np.array([v for _, v in prof.terms])
+        coef, p = np.array(quad.sigma_terms).T
+        vals = halfline_osc_integral(prof.q - p[:, None], nu, quad.xi_max)
+        out.append(coef @ (vals + (-1.0) ** prof.q * vals.conj()) @ c)
+    return np.array(out)
+
+
+def _line_mesh(h, kind):
+    return mesh_dof_factors(build_mesh(make_screen(2, [(0.0, 1.0)]), h, kind))
+
+
+def _cantor_mesh(level, h):
+    return mesh_dof_factors(build_mesh(cantor_prefractal(2, level, 1 / 3), h, "P0"))
+
+
+class TestLineTailTable:
+    @pytest.mark.parametrize("kind, rows, cols, tol", [
+        (single_layer(16.0), ("line", 1 / 256, "P0"), None, 1e-10),
+        (hypersingular(10.0), ("line", 1 / 256, "P1"), None, 1e-10),
+        (bessel(10.0, -0.5), ("line", 1 / 256, "P1"), None, 1e-10),
+        (bessel(10.0, 0.5), ("line", 1 / 256, "P1"), None, 1e-10),
+        (single_layer(28.0), ("cantor", 4, 3.0 ** -4 / 8), None, 1e-9),
+        (bessel(28.0, -0.5), ("cantor", 4, 3.0 ** -4 / 8), None, 1e-9),
+        (single_layer(3.0), ("line", 1 / 16, "P0"), ("line", 1 / 8, "P0"), 1e-9),
+        (hypersingular(4.0), ("line", 1 / 6, "P1"), None, 1e-10),
+        (bessel(4.0, -0.5), ("line", 1 / 6, "P1"), None, 1e-10),
+    ])
+    def test_against_per_key_profiles(self, kind, rows, cols, tol):
+        def dofs(spec):
+            return _line_mesh(*spec[1:]) if spec[0] == "line" else _cantor_mesh(*spec[1:])
+
+        quad = _line_plan(kind, dofs(rows), None if cols is None else dofs(cols), tol)
+        keys = _line_keys(quad)
+        scale = np.abs(quad.matrix()).max()
+        assert np.abs(quad._tail_table([keys]) - _per_key_tails(quad, keys)).max() \
+            <= 1e-12 * scale
+
+    def test_off_lattice_family(self):
+        """One centre off the h/2 lattice sends every key through the
+        subtraction path; keys at h and 2h then meet terms whose frequency
+        is zero up to rounding, which must snap to the DC term.  Near order
+        1 (G(1.45) on hats: m_0 = 1.1) E_m(z) ~ z^{m-1} Gamma(1-m) + 1/(m-1)
+        is far from the DC value at a rounding-sized z."""
+        h = 1 / 6
+        centres = [h, 2 * h, 3 * h, 0.5 + 0.1 / np.pi, 5 * h]
+        dofs = [(AxisFactor("hat", c, h),) for c in centres]
+        for kind in (hypersingular(4.0), bessel(4.0, -0.5), bessel(4.0, 1.45)):
+            quad = _line_plan(kind, dofs)
+            keys = _line_keys(quad)
+            scale = np.abs(quad.matrix()).max()
+            assert np.abs(quad._tail_table([keys]) - _per_key_tails(quad, keys)).max() \
+                <= 1e-12 * scale
+
+    def test_one_continued_fraction_per_lattice_frequency(self, monkeypatch):
+        calls = []
+        cf = tails._expint_cf
+
+        def counted(m, z):
+            calls.append(z.size)
+            return cf(m, z)
+
+        monkeypatch.setattr(tails, "_expint_cf", counted)
+        assemble(single_layer(28.0), _cantor_mesh(4, 3.0 ** -4 / 8), tol=1e-9)
+        assert 0 < sum(calls) <= 650
+
+    def test_level8_tails_against_mpmath(self):
+        """Cantor level 8: h X = 0.0025, so a P0 tail (a second difference in
+        nu) amplifies an inconsistency between one key's frequencies about
+        1.6e5-fold.  Reference: the same sum at dps 40 with exact
+        frequencies."""
+        import mpmath as mp
+
+        mp.mp.dps = 40
+        h = 3.0 ** -9
+        quad = _line_plan(single_layer(20.0), _cantor_mesh(8, h), tol=1e-9)
+        j = np.array([0, 310, 6312, 9890])
+        got = quad._tail_table([j * h])
+        scale = np.abs(quad.matrix()).max()
+        terms = [(complex(a * np.conj(b)), wf, wg)
+                 for a, wf in quad.rows.factor(0).exp_terms()[1]
+                 for b, wg in quad.cols.factor(0).exp_terms()[1]]
+        X = mp.mpf(quad.xi_max)
+        for jj, value in zip(j, got):
+            ref = mp.mpc(0)
+            for c, wf, wg in terms:
+                nu = mp.mpf(wf) - mp.mpf(int(jj)) * mp.mpf(h) - mp.mpf(wg)
+                for coef, p in quad.sigma_terms:
+                    m = 2 - mp.mpf(p)
+                    if nu == 0:
+                        v = 2 * X ** (1 - m) / (m - 1)
+                    else:
+                        e = mp.expint(m, mp.mpc(0, -1) * nu * X)
+                        v = X ** (1 - m) * (e + mp.conj(e))
+                    ref += mp.mpf(coef) * mp.mpc(c) * v
+            assert abs(complex(ref) - value) <= 1e-13 * scale
 
 
 class TestHistoryIndependence:
