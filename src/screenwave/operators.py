@@ -24,8 +24,7 @@ from scipy.special import hankel1, j0
 
 from .geometry import Mesh
 from .sobolev import GramMatrix, WaveContext, gram
-from .spectral import (assemble, gradient_dof_factors, hypersingular,
-                       mesh_dof_factors, single_layer)
+from .spectral import assemble, gradient_dof_factors, hypersingular, single_layer
 from .spectral.rules import gauss_panels, split_interval
 
 
@@ -69,7 +68,7 @@ def assemble_single_layer(mesh: Mesh, ctx: WaveContext,
     """A_ij = (i/2) int Z^{-1} fhat_i conj(fhat_j); requires a P0 mesh."""
     if mesh.basis_kind != "P0":
         raise ValueError("single-layer systems are discretized with P0 bases")
-    A = assemble(single_layer(ctx.k), mesh_dof_factors(mesh), tol=tol)
+    A = assemble(single_layer(ctx.k), mesh, tol=tol)
     return GalerkinSystem("single_layer", A, mesh, ctx, tol)
 
 
@@ -81,7 +80,7 @@ def assemble_hypersingular(mesh: Mesh, ctx: WaveContext,
             "hypersingular systems need an H~(1/2)-conforming (P1) basis; "
             "the P0 integrand has a non-integrable tail"
         )
-    B = assemble(hypersingular(ctx.k), mesh_dof_factors(mesh), tol=tol)
+    B = assemble(hypersingular(ctx.k), mesh, tol=tol)
     return GalerkinSystem("hypersingular", B, mesh, ctx, tol)
 
 
@@ -95,9 +94,8 @@ def maue_oracle_hypersingular(mesh: Mesh, ctx: WaveContext,
     if mesh.basis_kind != "P1":
         raise ValueError("the surface-derivative identity needs a P1 mesh")
     k = ctx.k
-    hats = mesh_dof_factors(mesh)
     tol_h = max(tol / max(1.0, k * k), 1e-13)
-    out = k * k * assemble(single_layer(k), hats, tol=tol_h, variant=1)
+    out = k * k * assemble(single_layer(k), mesh, tol=tol_h, variant=1)
     for axis in range(mesh.dim_screen):
         dfac = gradient_dof_factors(mesh, axis)
         out -= assemble(single_layer(k), dfac, tol=tol / 2.0, variant=1)

@@ -18,10 +18,16 @@ offsets alone:
 even in each delta_a.  ``SymbolQuadrature`` evaluates I once per distinct
 |delta_a| (n=3: once per pair of distinct x and y offsets) and gathers the
 matrix from that table, so a shared family is complex-symmetric by
-construction.  The finite region, |xi| <= X on the line and the square
-max|xi_a| <= X in the plane, is a cosine transform of a rule with
-singularity-removing radial substitutions, summed in node batches;
-everything beyond X goes through the analytic tail machinery in
+construction.  On a lattice family (every ``build_mesh`` mesh) the offsets
+are the integers j = |i_r - i_c| in units of step = min(h)/2 and every key
+is evaluated at exactly j*step; other families key the offsets rounded to
+``_KEY_DIGITS`` digits.  The finite region, |xi| <= X on the line and the
+square max|xi_a| <= X in the plane, is a cosine transform of a rule with
+singularity-removing radial substitutions, summed in node batches.  On the
+line it is factored: with j = a*B + b and B = ceil(sqrt(J + 1)),
+cos(j s xi) = cos(aBs xi) cos(bs xi) - sin(aBs xi) sin(bs xi), so every
+lattice value comes from O(sqrt J) trig rows per node and one BLAS product.
+Everything beyond X goes through the analytic tail machinery in
 :mod:`screenwave.spectral.tails`.
 """
 
@@ -40,8 +46,9 @@ from .tails import (QuadratureError, VGrid, build_axis_table, profile_tails,
                     required_axis_Y, symbol_series, symbol_series_remainder,
                     tensor_tail_term)
 
-_TABLE_CELLS = 1 << 17   # cosine-table cells per node batch: bounds the working set
-_KEY_DIGITS = 12         # offsets equal to this many digits share one table entry
+_TABLE_CELLS = 1 << 17   # table cells per batch: bounds the working set
+_KEY_DIGITS = 12         # lattice tolerance 0.5e-12; off-lattice offsets equal to
+                         # this many digits share one table entry
 
 
 @dataclass(frozen=True)
@@ -142,6 +149,15 @@ class _Family:
     centers: np.ndarray
 
     @classmethod
+    def of(cls, dofs) -> "_Family":
+        """The family of a mesh's own basis, or of a list of dof factor tuples."""
+        if isinstance(dofs, Mesh):
+            f = mesh_axis_factor(dofs)
+            d = dofs.dof_points.shape[1]
+            return cls((f.kind,) * d, (f.h,) * d, np.asarray(dofs.dof_points, dtype=float))
+        return cls.read(dofs)
+
+    @classmethod
     def read(cls, dofs) -> "_Family":
         kinds, hs = [], []
         for a in range(len(dofs[0])):
@@ -161,6 +177,80 @@ class _Family:
 
     def factor(self, axis: int, center: float = 0.0) -> AxisFactor:
         return AxisFactor(self.kinds[axis], center, self.h[axis])
+
+
+@dataclass(frozen=True)
+class _AxisKeys:
+    """The distinct |centre offsets| ``delta`` of one axis of a matrix block,
+    ascending.
+
+    The n=2 finite table is formed on the grid of offsets hi[a] + lo[b] and
+    read at the flat grid positions ``at`` of the keys.  On a lattice family
+    ``j`` holds the keys as integers in units of ``step`` and delta = j*step;
+    otherwise ``j`` is None, ``hi`` is ``delta`` and ``lo`` is {0}.
+    """
+
+    delta: np.ndarray
+    hi: np.ndarray
+    lo: np.ndarray
+    at: np.ndarray
+    j: np.ndarray | None = None
+    step: float = 0.0
+
+
+def _axis_keys(c_r: np.ndarray, c_c: np.ndarray, f: AxisFactor,
+               g: AxisFactor) -> tuple[_AxisKeys, np.ndarray]:
+    """Keys of the offsets between row centres ``c_r`` and column centres
+    ``c_c`` of one axis with factors ``f``, ``g`` (at centre 0), and the
+    (len(c_r), len(c_c)) array of each entry's key position.
+
+    The one lattice test.  When the centres and the large-|xi| term
+    frequencies of f and g lie within 0.5e-12 of multiples of step = min(h)/2,
+    as on every ``build_mesh`` mesh, the offsets are the integers
+    j = |i_r - i_c|.  Divided by their gcd (P0 offsets are even) and split as
+    a*B + b with B = ceil(sqrt(J + 1)), they fall on a grid of rows a by all
+    b, where a presence mask and a running count find the keys and their
+    positions without a sort.  When the lattice has more points than the
+    block has entries (screen parts far apart), the grid keeps only the rows
+    that hold an offset, so it never outgrows B cells per key.  Other
+    families key the offsets rounded to ``_KEY_DIGITS`` digits, each at the
+    exact offset of its first occurrence.
+    """
+    shape = (c_r.size, c_c.size)
+    step = 0.5 * min(f.h, g.h)
+    grid = np.concatenate([c_r, c_c, [w for fac in (f, g) for _, w in fac.exp_terms()[1]]])
+    units = np.rint(grid / step)
+    if not np.all(np.abs(grid - units * step) <= 0.5 * 10.0 ** -_KEY_DIGITS):
+        delta = np.abs(np.subtract.outer(c_r, c_c)).ravel()
+        _, first, inverse = np.unique(np.round(delta, _KEY_DIGITS),
+                                      return_index=True, return_inverse=True)
+        delta = delta[first]
+        return (_AxisKeys(delta, delta, np.zeros(1), np.arange(delta.size)),
+                inverse.reshape(shape))
+    i_r = units[:c_r.size].astype(np.int64)
+    i_c = units[c_r.size:c_r.size + c_c.size].astype(np.int64)
+    # every i_r - i_c is a multiple of the gcd of one of them and of the
+    # spreads of i_r and of i_c; i_r - i_c[0] and i_c - i_c[0] are too
+    unit = int(np.gcd.reduce(np.concatenate([i_r[:1] - i_c[:1], i_r - i_r[0],
+                                             i_c - i_c[0]]))) or 1
+    j = np.subtract.outer((i_r - i_c[0]) // unit, (i_c - i_c[0]) // unit)
+    np.abs(j, out=j)
+    J = int(j.max())
+    B = math.isqrt(J) + 1
+    if J < j.size:
+        rows, flat = np.arange(J // B + 1), j
+    else:
+        a, b = np.divmod(j, B)
+        used = np.zeros(int(a.max()) + 1, dtype=bool)
+        used[a] = True
+        rows, flat = np.flatnonzero(used), (np.cumsum(used) - 1)[a] * B + b
+    present = np.zeros(rows.size * B, dtype=bool)
+    present[flat] = True
+    at = np.flatnonzero(present)
+    hi = rows * (B * unit)
+    keys = hi[at // B] + at % B * unit
+    return (_AxisKeys(keys * step, hi * step, np.arange(B) * unit * step, at, keys, step),
+            (np.cumsum(present) - 1)[flat])
 
 
 def _family_constants(fam: _Family) -> tuple[list[int], list[float], float]:
@@ -278,45 +368,62 @@ class SymbolQuadrature:
     def matrix(self, i=slice(None), j=slice(None)) -> np.ndarray:
         """Entries between rows ``i`` and columns ``j`` of the two families,
         gathered from one table over their distinct per-axis |offsets|."""
-        c_r, c_c = self.rows.centers[i], self.cols.centers[j]
-        deltas, index = [], []
-        for a in range(self.dim):
-            delta = np.abs(np.subtract.outer(c_r[:, a], c_c[:, a])).ravel()
-            _, first, inverse = np.unique(np.round(delta, _KEY_DIGITS),
-                                          return_index=True, return_inverse=True)
-            # each key is evaluated at the exact offset of its first occurrence
-            deltas.append(delta[first])
-            index.append(inverse.reshape(len(c_r), len(c_c)))
-        table = self._finite_table(deltas) + self._tail_table(deltas)
-        return table[tuple(index)]
+        keys, index = zip(*self._offset_keys(i, j))
+        table = self._finite_table(keys) + self._tail_table(keys)
+        return table[index]
 
-    def _finite_table(self, deltas) -> np.ndarray:
+    def _offset_keys(self, i=slice(None), j=slice(None)):
+        """Per axis, the ``_axis_keys`` of rows ``i`` against columns ``j``."""
+        c_r, c_c = self.rows.centers[i], self.cols.centers[j]
+        return [_axis_keys(c_r[:, a], c_c[:, a], self.rows.factor(a), self.cols.factor(a))
+                for a in range(self.dim)]
+
+    def _finite_table(self, keys) -> np.ndarray:
         """sum_q w_q P(xi_q) prod_a cos(delta_a xi_qa) for every combination of
-        per-axis keys: n=2 folds the line onto the half-line rule (factor 2)
-        and contracts cos(delta xi) against the columns Re(wP), Im(wP); n=3 is
-        (cos(dx xi1) w P) @ cos(dy xi2)^T.  Nodes go in batches of about
-        ``_TABLE_CELLS`` table cells."""
+        per-axis keys, in node batches of about ``_TABLE_CELLS`` trig cells.
+
+        n=2 folds the line onto the half-line rule (factor 2) and forms the
+        grid hi[a] + lo[b] of ``_AxisKeys`` in one product per batch, by the
+        angle addition formula: with wP = u + iv,
+        [cos(hi xi), -sin(hi xi)] @ [[cos(lo xi), sin(lo xi)] u;
+        [cos(lo xi), sin(lo xi)] v]^T.  An off-lattice family has lo = {0},
+        so it contracts cos(delta xi) against [u, v] and forms no sines.  n=3 is
+        (cos(dx xi1) w P) @ cos(dy xi2)^T at the key offsets.
+        """
         pairs = [(self.rows.factor(a), self.cols.factor(a)) for a in range(self.dim)]
-        step = max(1, _TABLE_CELLS // max(d.size for d in deltas))
+        if self.dim == 1:
+            (key,), ((f, g),), (xi,) = keys, pairs, self.nodes
+            sines = key.lo.size > 1
+            step = max(1, _TABLE_CELLS // (key.hi.size + key.lo.size))
+            acc = 0.0
+            for s in range(0, self.w.size, step):
+                x = xi[s:s + step]
+                wP = self.w[s:s + step] * (f.value(x) * np.conj(g.value(x))).real
+                hi, lo = np.outer(key.hi, x), np.outer(key.lo, x)
+                if sines:
+                    hi = np.concatenate([np.cos(hi), -np.sin(hi)], axis=1)
+                    lo = np.concatenate([np.cos(lo), np.sin(lo)], axis=1)
+                    wP = np.concatenate([wP, wP])
+                else:
+                    hi, lo = np.cos(hi), np.cos(lo)
+                acc = acc + hi @ np.concatenate([lo * wP.real, lo * wP.imag]).T
+            n_lo = key.lo.size
+            return 2.0 * (acc[:, :n_lo] + 1j * acc[:, n_lo:]).ravel()[key.at]
+        step = max(1, _TABLE_CELLS // max(key.delta.size for key in keys))
         acc = 0.0
         for s in range(0, self.w.size, step):
             b = slice(s, s + step)
             wP = self.w[b]
             cos = []
-            for (f, g), xi, delta in zip(pairs, self.nodes, deltas):
+            for (f, g), xi, key in zip(pairs, self.nodes, keys):
                 wP = wP * (f.value(xi[b]) * np.conj(g.value(xi[b]))).real
-                cos.append(np.cos(np.outer(delta, xi[b])))
-            if self.dim == 1:
-                acc = acc + cos[0] @ np.column_stack([wP.real, wP.imag])
-            else:
-                lhs = np.concatenate([cos[0] * wP.real, cos[0] * wP.imag])
-                acc = acc + lhs @ cos[1].T
-        if self.dim == 1:
-            return 2.0 * (acc[:, 0] + 1j * acc[:, 1])
-        n_x = deltas[0].size
+                cos.append(np.cos(np.outer(key.delta, xi[b])))
+            lhs = np.concatenate([cos[0] * wP.real, cos[0] * wP.imag])
+            acc = acc + lhs @ cos[1].T
+        n_x = keys[0].delta.size
         return acc[:n_x] + 1j * acc[n_x:]
 
-    def _tail_table(self, deltas) -> np.ndarray:
+    def _tail_table(self, keys) -> np.ndarray:
         """Part of each table entry beyond the finite rule: |xi| > X (n=2) or
         the exterior of the square max|xi_a| > X (n=3, from one axis table per
         x key and per y key).
@@ -325,24 +432,20 @@ class SymbolQuadrature:
         families at offset 0 give, at offset delta, the same coefficients c_t
         and the frequencies nu_t - delta.  The P0 tail is a second difference
         in nu and the P1 tail a fourth, so a key's frequencies must be
-        consistent to far below an ulp of double.  When the term frequencies
-        and the keys lie on the lattice of step min(h)/2 (to the key
-        resolution, as on every ``build_mesh`` mesh), each key is snapped to
-        j*step and nu_t = (i_t - j)*step is formed in long double: exact, and
+        consistent to far below an ulp of double.  On a lattice family
+        (``_axis_keys``) the term frequencies are multiples i_t of the key
+        step, and nu_t = (i_t - j)*step is formed in long double: exact, and
         shared bit for bit by every key that meets it.  Otherwise nu_t comes
         from one long-double subtraction with ``snap_frequencies``.
         """
         if self.dim == 1:
-            f, g = self.rows.factor(0), self.cols.factor(0)
-            q, c, wf, wg = pair_terms(f, g)
-            step = 0.5 * min(f.h, g.h)
-            grid = np.concatenate([wf, wg, deltas[0]])
-            index = np.rint(grid / step)
-            if np.all(np.abs(grid - index * step) <= 0.5 * 10.0 ** -_KEY_DIGITS):
-                i_f, i_g, j = np.split(index, [wf.size, 2 * wf.size])
-                nu = (i_f - i_g - j[:, None]) * np.longdouble(step)
+            (key,) = keys
+            q, c, wf, wg = pair_terms(self.rows.factor(0), self.cols.factor(0))
+            if key.j is not None:
+                i_t = np.rint(wf / key.step) - np.rint(wg / key.step)
+                nu = (i_t - key.j[:, None]) * np.longdouble(key.step)
             else:
-                wf_key = wf - deltas[0][:, None].astype(np.longdouble)
+                wf_key = wf - key.delta[:, None].astype(np.longdouble)
                 nu = snap_frequencies(wf_key - wg, wf_key, wg)
             return profile_tails(c, nu, q, self.sigma_terms, self.xi_max)
         tables: dict = {}
@@ -361,8 +464,8 @@ class SymbolQuadrature:
                                                scale=self.var.scale)
             return tables[key]
 
-        ax = [axis_table(0, d) for d in deltas[0]]
-        ay = [axis_table(1, d) for d in deltas[1]]
+        ax = [axis_table(0, d) for d in keys[0].delta]
+        ay = [axis_table(1, d) for d in keys[1].delta]
         return np.array([[sum(coef * tensor_tail_term(p, tx, ty, self.vgrid)
                               for coef, p in self.sigma_terms) for ty in ay]
                          for tx in ax])
@@ -441,16 +544,17 @@ def _corner_rule(kind, k, X, omega, order, scale):
 # ---------------------------------------------------------------------------
 def assemble(kind: SymbolKind, dofs_row, dofs_col=None, tol: float = 1e-10,
              variant: int = 0) -> np.ndarray:
-    """Matrix of symbol integrals for two dof families (shared if col=None)."""
-    rows = _Family.read(dofs_row)
-    cols = rows if dofs_col is None else _Family.read(dofs_col)
+    """Matrix of symbol integrals for two dof families (shared if col=None),
+    each a list of dof factor tuples or a ``Mesh`` for its own basis."""
+    rows = _Family.of(dofs_row)
+    cols = rows if dofs_col is None else _Family.of(dofs_col)
     return SymbolQuadrature(kind, rows, cols, tol, variant).matrix()
 
 
 def build_quadrature(kind: SymbolKind, mesh: Mesh, tol: float = 1e-10,
                      variant: int = 0) -> SymbolQuadrature:
     """Validate integrability and prebuild the rule + tail plan for a mesh."""
-    dofs = _Family.read(mesh_dof_factors(mesh))
+    dofs = _Family.of(mesh)
     return SymbolQuadrature(kind, dofs, dofs, tol, variant)
 
 
@@ -464,7 +568,7 @@ def symbol_integral(kind: SymbolKind, i: int, j: int,
 
 def assemble_mesh_matrix(kind: SymbolKind, mesh: Mesh, tol: float = 1e-10,
                          variant: int = 0) -> np.ndarray:
-    return assemble(kind, mesh_dof_factors(mesh), None, tol, variant)
+    return assemble(kind, mesh, None, tol, variant)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from screenwave.spectral import (assemble, assemble_mesh_matrix, basis_ft,
                                  symbol_integral, symbol_Z,
                                  truncated_kernel_ft)
 from screenwave.spectral import tails
-from screenwave.spectral.engine import SymbolQuadrature, _Family
+from screenwave.spectral import engine
+from screenwave.spectral.engine import SymbolQuadrature, _axis_keys, _Family
 from screenwave.spectral.factors import AxisFactor, pair_profile
 from screenwave.spectral.rules import gauss_legendre, gauss_panels
 from screenwave.spectral.tails import expint, halfline_osc_integral
@@ -282,9 +283,8 @@ def _line_plan(kind, rows, cols=None, tol=1e-10):
 
 def _line_keys(quad):
     """The offset keys ``matrix()`` evaluates the table at."""
-    delta = np.abs(np.subtract.outer(quad.rows.centers[:, 0],
-                                     quad.cols.centers[:, 0])).ravel()
-    return delta[np.unique(np.round(delta, 12), return_index=True)[1]]
+    (keys, _), = quad._offset_keys()
+    return keys
 
 
 def _per_key_tails(quad, deltas):
@@ -308,26 +308,119 @@ def _cantor_mesh(level, h):
     return mesh_dof_factors(build_mesh(cantor_prefractal(2, level, 1 / 3), h, "P0"))
 
 
-class TestLineTailTable:
-    @pytest.mark.parametrize("kind, rows, cols, tol", [
-        (single_layer(16.0), ("line", 1 / 256, "P0"), None, 1e-10),
-        (hypersingular(10.0), ("line", 1 / 256, "P1"), None, 1e-10),
-        (bessel(10.0, -0.5), ("line", 1 / 256, "P1"), None, 1e-10),
-        (bessel(10.0, 0.5), ("line", 1 / 256, "P1"), None, 1e-10),
-        (single_layer(28.0), ("cantor", 4, 3.0 ** -4 / 8), None, 1e-9),
-        (bessel(28.0, -0.5), ("cantor", 4, 3.0 ** -4 / 8), None, 1e-9),
-        (single_layer(3.0), ("line", 1 / 16, "P0"), ("line", 1 / 8, "P0"), 1e-9),
-        (hypersingular(4.0), ("line", 1 / 6, "P1"), None, 1e-10),
-        (bessel(4.0, -0.5), ("line", 1 / 6, "P1"), None, 1e-10),
-    ])
-    def test_against_per_key_profiles(self, kind, rows, cols, tol):
-        def dofs(spec):
-            return _line_mesh(*spec[1:]) if spec[0] == "line" else _cantor_mesh(*spec[1:])
+def _two_part_mesh(parts, h):
+    return mesh_dof_factors(build_mesh(make_screen(2, parts), h, "P0"))
 
-        quad = _line_plan(kind, dofs(rows), None if cols is None else dofs(cols), tol)
+
+_SHIFT = 0.3 + np.sqrt(2.0) / 10
+_OFF_LATTICE = [(0.0, 0.3125), (_SHIFT, _SHIFT + 0.5)]     # second part off the h/2 lattice
+_SPARSE = [(0.0, 1 / 16), (50.0, 50.0 + 1 / 16)]           # offsets up to 25,630 h/2
+
+_LINE_CASES = [
+    (single_layer(16.0), ("line", 1 / 256, "P0"), None, 1e-10),
+    (hypersingular(10.0), ("line", 1 / 256, "P1"), None, 1e-10),
+    (bessel(10.0, -0.5), ("line", 1 / 256, "P1"), None, 1e-10),
+    (bessel(10.0, 0.5), ("line", 1 / 256, "P1"), None, 1e-10),
+    (single_layer(28.0), ("cantor", 4, 3.0 ** -4 / 8), None, 1e-9),
+    (bessel(28.0, -0.5), ("cantor", 4, 3.0 ** -4 / 8), None, 1e-9),
+    (single_layer(3.0), ("line", 1 / 16, "P0"), ("line", 1 / 8, "P0"), 1e-9),
+    (hypersingular(4.0), ("line", 1 / 6, "P1"), None, 1e-10),
+    (bessel(4.0, -0.5), ("line", 1 / 6, "P1"), None, 1e-10),
+    (bessel(16.0, -0.5), ("line", 1 / 256, "P0"), None, 1e-10),
+    (single_layer(10.0), ("parts", _OFF_LATTICE, 1 / 64), None, 1e-10),
+    (single_layer(10.0), ("parts", _SPARSE, 1 / 256), None, 1e-10),
+]
+
+
+def _case_plan(kind, rows, cols, tol):
+    def dofs(spec):
+        make = {"line": _line_mesh, "cantor": _cantor_mesh, "parts": _two_part_mesh}
+        return make[spec[0]](*spec[1:])
+
+    return _line_plan(kind, dofs(rows), None if cols is None else dofs(cols), tol)
+
+
+class TestLineFiniteTable:
+    @pytest.mark.parametrize("kind, rows, cols, tol", _LINE_CASES)
+    def test_against_direct_cosines(self, kind, rows, cols, tol):
+        """The factored table against one cosine per (key, node)."""
+        quad = _case_plan(kind, rows, cols, tol)
+        keys = _line_keys(quad)
+        f, g = quad.rows.factor(0), quad.cols.factor(0)
+        xi = quad.nodes[0]
+        wP = quad.w * (f.value(xi) * np.conj(g.value(xi))).real
+        ref = 2.0 * np.cos(np.outer(keys.delta, xi)) @ wP
+        assert np.abs(quad._finite_table([keys]) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_off_lattice_family_has_no_sine_block(self):
+        quad = _case_plan(single_layer(10.0), ("parts", _OFF_LATTICE, 1 / 64), None, 1e-10)
+        keys = _line_keys(quad)
+        assert keys.j is None
+        assert np.array_equal(keys.hi, keys.delta) and np.array_equal(keys.lo, [0.0])
+
+    def test_sparse_lattice_tabulates_present_keys(self, monkeypatch):
+        """Two parts 50 apart: the offsets span 12,816 lattice points in units
+        of h (P0 offsets are even multiples of h/2), of which the block holds
+        47.  Tails are asked for those only, and the finite grid keeps only
+        the rows that hold one: 2 rows of 114."""
+        quad = _case_plan(single_layer(10.0), ("parts", _SPARSE, 1 / 256), None, 1e-10)
+        c = quad.rows.centers[:, 0]
+        j = np.rint(np.abs(np.subtract.outer(c, c)) / (quad.rows.h[0] / 2)).astype(int)
+        present = np.unique(j)
+        keys = _line_keys(quad)
+        assert np.array_equal(keys.j, present) and j.max() == 25_630
+        assert (keys.hi.size, keys.lo.size) == (2, 114)
+        rows_asked = []
+        profile_tails = engine.profile_tails
+
+        def counted(c_t, nu, *args):
+            rows_asked.append(nu.shape[0])
+            return profile_tails(c_t, nu, *args)
+
+        monkeypatch.setattr(engine, "profile_tails", counted)
+        quad.matrix()
+        assert rows_asked == [present.size]
+
+
+class TestOffsetKeys:
+    def test_one_key_per_lattice_offset(self):
+        """Cantor level 7 (h = 3^-8): rounding the offsets to 12 digits split
+        the lattice offset j = 3266 (units of h/2) into two keys evaluated an
+        ulp apart.  Integer keys give one key per offset, and every entry at
+        one offset is the same table value: translation invariance, bit for
+        bit."""
+        quad = _line_plan(single_layer(20.0), _cantor_mesh(7, 3.0 ** -8), tol=1e-9)
+        c = quad.rows.centers[:, 0]
+        delta = np.abs(np.subtract.outer(c, c))
+        j = np.rint(delta / (quad.rows.h[0] / 2)).astype(int).ravel()
+        n_offsets = np.unique(j).size
+        assert np.unique(np.round(delta, 12)).size == n_offsets + 1
+        assert _line_keys(quad).delta.size == n_offsets
+        order = np.argsort(j, kind="stable")
+        js, vals = j[order], quad.matrix().ravel()[order]
+        first = np.r_[True, js[1:] != js[:-1]]
+        assert np.array_equal(vals, vals[first][np.cumsum(first) - 1])
+
+    @pytest.mark.parametrize("n, kind", [(2, "P0"), (2, "P1"), (3, "P0"), (3, "P1")])
+    def test_family_from_mesh(self, n, kind):
+        screen = make_screen(2, [(0.0, 1.0)]) if n == 2 else \
+            make_screen(3, [((0.0, 0.0), (1.0, 0.5))])
+        mesh = build_mesh(screen, 1 / 8, kind)
+        direct, read = _Family.of(mesh), _Family.read(mesh_dof_factors(mesh))
+        assert (direct.kinds, direct.h) == (read.kinds, read.h)
+        assert np.array_equal(direct.centers, read.centers)
+        if n == 2:
+            symbol = single_layer(5.0) if kind == "P0" else hypersingular(5.0)
+            assert np.array_equal(assemble(symbol, mesh), assemble(symbol, mesh_dof_factors(mesh)))
+
+
+class TestLineTailTable:
+    @pytest.mark.parametrize("kind, rows, cols, tol", _LINE_CASES)
+    def test_against_per_key_profiles(self, kind, rows, cols, tol):
+        quad = _case_plan(kind, rows, cols, tol)
         keys = _line_keys(quad)
         scale = np.abs(quad.matrix()).max()
-        assert np.abs(quad._tail_table([keys]) - _per_key_tails(quad, keys)).max() \
+        assert np.abs(quad._tail_table([keys]) - _per_key_tails(quad, keys.delta)).max() \
             <= 1e-12 * scale
 
     def test_off_lattice_family(self):
@@ -343,7 +436,7 @@ class TestLineTailTable:
             quad = _line_plan(kind, dofs)
             keys = _line_keys(quad)
             scale = np.abs(quad.matrix()).max()
-            assert np.abs(quad._tail_table([keys]) - _per_key_tails(quad, keys)).max() \
+            assert np.abs(quad._tail_table([keys]) - _per_key_tails(quad, keys.delta)).max() \
                 <= 1e-12 * scale
 
     def test_one_continued_fraction_per_lattice_frequency(self, monkeypatch):
@@ -369,7 +462,8 @@ class TestLineTailTable:
         h = 3.0 ** -9
         quad = _line_plan(single_layer(20.0), _cantor_mesh(8, h), tol=1e-9)
         j = np.array([0, 310, 6312, 9890])
-        got = quad._tail_table([j * h])
+        keys, _ = _axis_keys(np.zeros(1), j * h, quad.rows.factor(0), quad.cols.factor(0))
+        got = quad._tail_table([keys])
         scale = np.abs(quad.matrix()).max()
         terms = [(complex(a * np.conj(b)), wf, wg)
                  for a, wf in quad.rows.factor(0).exp_terms()[1]
