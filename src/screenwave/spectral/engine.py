@@ -216,7 +216,6 @@ def _axis_keys(c_r: np.ndarray, c_c: np.ndarray, f: AxisFactor,
     families key the offsets rounded to ``_KEY_DIGITS`` digits, each at the
     exact offset of its first occurrence.
     """
-    shape = (c_r.size, c_c.size)
     step = 0.5 * min(f.h, g.h)
     grid = np.concatenate([c_r, c_c, [w for fac in (f, g) for _, w in fac.exp_terms()[1]]])
     units = np.rint(grid / step)
@@ -226,7 +225,7 @@ def _axis_keys(c_r: np.ndarray, c_c: np.ndarray, f: AxisFactor,
                                       return_index=True, return_inverse=True)
         delta = delta[first]
         return (_AxisKeys(delta, delta, np.zeros(1), np.arange(delta.size)),
-                inverse.reshape(shape))
+                inverse.reshape(c_r.size, c_c.size))
     i_r = units[:c_r.size].astype(np.int64)
     i_c = units[c_r.size:c_r.size + c_c.size].astype(np.int64)
     # every i_r - i_c is a multiple of the gcd of one of them and of the
@@ -380,7 +379,7 @@ class SymbolQuadrature:
 
     def _finite_table(self, keys) -> np.ndarray:
         """sum_q w_q P(xi_q) prod_a cos(delta_a xi_qa) for every combination of
-        per-axis keys, in node batches of about ``_TABLE_CELLS`` trig cells.
+        per-axis keys, in node batches of about ``_TABLE_CELLS`` table cells.
 
         n=2 folds the line onto the half-line rule (factor 2) and forms the
         grid hi[a] + lo[b] of ``_AxisKeys`` in one product per batch, by the
@@ -394,7 +393,8 @@ class SymbolQuadrature:
         if self.dim == 1:
             (key,), ((f, g),), (xi,) = keys, pairs, self.nodes
             sines = key.lo.size > 1
-            step = max(1, _TABLE_CELLS // (key.hi.size + key.lo.size))
+            # cells per node of the product's operands
+            step = max(1, _TABLE_CELLS // ((1 + sines) * (key.hi.size + 2 * key.lo.size)))
             acc = 0.0
             for s in range(0, self.w.size, step):
                 x = xi[s:s + step]
