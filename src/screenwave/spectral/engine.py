@@ -18,10 +18,10 @@ offsets alone:
 even in each delta_a.  ``SymbolQuadrature`` evaluates I once per distinct
 |delta_a| (n=3: once per pair of distinct x and y offsets) and gathers the
 matrix from that table, so a shared family is complex-symmetric by
-construction.  On a lattice family (every ``build_mesh`` mesh) the offsets
-are the integers j = |i_r - i_c| in units of step = min(h)/2 and every key
-is evaluated at exactly j*step; other families key the offsets rounded to
-``_KEY_DIGITS`` digits.  The finite region, |xi| <= X on the line and the
+construction.  On a lattice family (a mesh whose parts lie whole multiples
+of h/2 apart, wherever it sits) the offsets are the integers j = |i_r - i_c|
+in units of step = min(h)/2 and every key is evaluated at exactly j*step;
+other families key the offsets rounded to ``_KEY_DIGITS`` digits.  The finite region, |xi| <= X on the line and the
 square max|xi_a| <= X in the plane, is a cosine transform of a rule with
 singularity-removing radial substitutions, summed in node batches.  On the
 line it is factored: with j = a*B + b and B = ceil(sqrt(J + 1)),
@@ -204,20 +204,24 @@ def _axis_keys(c_r: np.ndarray, c_c: np.ndarray, f: AxisFactor,
     ``c_c`` of one axis with factors ``f``, ``g`` (at centre 0), and the
     (len(c_r), len(c_c)) array of each entry's key position.
 
-    The one lattice test.  When the centres and the large-|xi| term
-    frequencies of f and g lie within 0.5e-12 of multiples of step = min(h)/2,
-    as on every ``build_mesh`` mesh, the offsets are the integers
-    j = |i_r - i_c|.  Divided by their gcd (P0 offsets are even) and split as
-    a*B + b with B = ceil(sqrt(J + 1)), they fall on a grid of rows a by all
-    b, where a presence mask and a running count find the keys and their
-    positions without a sort.  When the lattice has more points than the
-    block has entries (screen parts far apart), the grid keeps only the rows
-    that hold an offset, so it never outgrows B cells per key.  Other
-    families key the offsets rounded to ``_KEY_DIGITS`` digits, each at the
-    exact offset of its first occurrence.
+    The one lattice test.  When the centres, taken from the first column
+    centre so that the test does not depend on where the mesh sits, and the
+    large-|xi| term frequencies of f and g lie within 0.5e-12 of multiples of
+    step = min(h)/2, the offsets are the integers j = |i_r - i_c|.  That holds
+    on a ``build_mesh`` mesh whose parts lie whole multiples of h/2 apart
+    (one interval or a Cantor prefractal, wherever it sits) and on a block
+    between two such meshes of one screen when one h is a whole multiple of
+    the other.  Divided by their gcd (P0 offsets are even) and split as
+    a*B + b with B = ceil(sqrt(J + 1)), the offsets fall on a grid of the
+    rows a that hold one by all b, where a presence mask and a running count
+    find the keys and their positions without a sort; the grid never
+    outgrows B cells per key, also when the parts of a screen lie far apart.
+    Other families key the offsets rounded to ``_KEY_DIGITS`` digits, each at
+    the exact offset of its first occurrence.
     """
     step = 0.5 * min(f.h, g.h)
-    grid = np.concatenate([c_r, c_c, [w for fac in (f, g) for _, w in fac.exp_terms()[1]]])
+    grid = np.concatenate([c_r - c_c[0], c_c - c_c[0],
+                           [w for fac in (f, g) for _, w in fac.exp_terms()[1]]])
     units = np.rint(grid / step)
     if not np.all(np.abs(grid - units * step) <= 0.5 * 10.0 ** -_KEY_DIGITS):
         delta = np.abs(np.subtract.outer(c_r, c_c)).ravel()
@@ -228,21 +232,20 @@ def _axis_keys(c_r: np.ndarray, c_c: np.ndarray, f: AxisFactor,
                 inverse.reshape(c_r.size, c_c.size))
     i_r = units[:c_r.size].astype(np.int64)
     i_c = units[c_r.size:c_r.size + c_c.size].astype(np.int64)
-    # every i_r - i_c is a multiple of the gcd of one of them and of the
-    # spreads of i_r and of i_c; i_r - i_c[0] and i_c - i_c[0] are too
-    unit = int(np.gcd.reduce(np.concatenate([i_r[:1] - i_c[:1], i_r - i_r[0],
-                                             i_c - i_c[0]]))) or 1
-    j = np.subtract.outer((i_r - i_c[0]) // unit, (i_c - i_c[0]) // unit)
+    # i_c[0] = 0, so i_r and i_c are offsets or differences of two: their gcd
+    # is that of all offsets
+    unit = int(np.gcd.reduce(np.concatenate([i_r, i_c]))) or 1
+    j = np.subtract.outer(i_r // unit, i_c // unit)
     np.abs(j, out=j)
     J = int(j.max())
     B = math.isqrt(J) + 1
-    if J < j.size:
-        rows, flat = np.arange(J // B + 1), j
-    else:
-        a, b = np.divmod(j, B)
-        used = np.zeros(int(a.max()) + 1, dtype=bool)
-        used[a] = True
-        rows, flat = np.flatnonzero(used), (np.cumsum(used) - 1)[a] * B + b
+    a = j // B
+    used = np.zeros(J // B + 1, dtype=bool)
+    used[a] = True
+    rows = np.flatnonzero(used)
+    # grid position j - (a - rank of row a among the used rows) * B, in place
+    np.take((np.arange(used.size) + 1 - np.cumsum(used)) * B, a, out=a)
+    flat = np.subtract(j, a, out=j)
     present = np.zeros(rows.size * B, dtype=bool)
     present[flat] = True
     at = np.flatnonzero(present)

@@ -308,13 +308,14 @@ def _cantor_mesh(level, h):
     return mesh_dof_factors(build_mesh(cantor_prefractal(2, level, 1 / 3), h, "P0"))
 
 
-def _two_part_mesh(parts, h):
+def _parts_mesh(parts, h):
     return mesh_dof_factors(build_mesh(make_screen(2, parts), h, "P0"))
 
 
 _SHIFT = 0.3 + np.sqrt(2.0) / 10
 _OFF_LATTICE = [(0.0, 0.3125), (_SHIFT, _SHIFT + 0.5)]     # second part off the h/2 lattice
 _SPARSE = [(0.0, 1 / 16), (50.0, 50.0 + 1 / 16)]           # offsets up to 25,630 h/2
+_TRANSLATED = [(0.1, 1.1)]                                  # centres off the h/2 lattice
 
 _LINE_CASES = [
     (single_layer(16.0), ("line", 1 / 256, "P0"), None, 1e-10),
@@ -329,12 +330,13 @@ _LINE_CASES = [
     (bessel(16.0, -0.5), ("line", 1 / 256, "P0"), None, 1e-10),
     (single_layer(10.0), ("parts", _OFF_LATTICE, 1 / 64), None, 1e-10),
     (single_layer(10.0), ("parts", _SPARSE, 1 / 256), None, 1e-10),
+    (single_layer(10.0), ("parts", _TRANSLATED, 1 / 64), None, 1e-10),
 ]
 
 
 def _case_plan(kind, rows, cols, tol):
     def dofs(spec):
-        make = {"line": _line_mesh, "cantor": _cantor_mesh, "parts": _two_part_mesh}
+        make = {"line": _line_mesh, "cantor": _cantor_mesh, "parts": _parts_mesh}
         return make[spec[0]](*spec[1:])
 
     return _line_plan(kind, dofs(rows), None if cols is None else dofs(cols), tol)
@@ -400,6 +402,16 @@ class TestOffsetKeys:
         js, vals = j[order], quad.matrix().ravel()[order]
         first = np.r_[True, js[1:] != js[:-1]]
         assert np.array_equal(vals, vals[first][np.cumsum(first) - 1])
+
+    def test_translated_mesh_keys_on_lattice(self):
+        """The interval [0.1, 1.1] at h = 1/64: no centre is a multiple of
+        h/2, every offset is.  The lattice test reads the offsets, so the
+        mesh keeps integer keys: its key set is the one of [0, 1]."""
+        quad = _case_plan(single_layer(10.0), ("parts", _TRANSLATED, 1 / 64), None, 1e-10)
+        keys = _line_keys(quad)
+        assert keys.j is not None
+        ref = _line_keys(_case_plan(single_layer(10.0), ("line", 1 / 64, "P0"), None, 1e-10))
+        assert np.array_equal(keys.j, ref.j) and np.array_equal(keys.delta, ref.delta)
 
     @pytest.mark.parametrize("n, kind", [(2, "P0"), (2, "P1"), (3, "P0"), (3, "P1")])
     def test_family_from_mesh(self, n, kind):

@@ -3,9 +3,10 @@
 The case list covers the n=2 and n=3 engine paths that a change to the
 symbol engine must keep: interval P0 and P1 meshes, a Cantor prefractal,
 hat and derivative-of-hat families, a cross-family block, unit-square
-and dust screens, and three keying cases: a Cantor level whose rounded
-offsets split one lattice offset in two, a family off the h/2 lattice and a
-sparse lattice.  Run it at two checkouts and compare:
+and dust screens, and four keying cases: a Cantor level whose rounded
+offsets split one lattice offset in two, a family off the h/2 lattice, a
+sparse lattice and an interval whose centres are off the lattice while its
+offsets are on it.  Run it at two checkouts and compare:
 
     PYTHONPATH=src python tools/matrix_cases.py dump OUT.npz
     python tools/matrix_cases.py compare A.npz B.npz
@@ -82,7 +83,8 @@ def _cases():
     case("unit square P1 h=1/6, first 6 dofs, k=2 tol 1e-8: T", hypersingular(2.0),
          mesh(square, 1 / 6, "P1")[:6], tol=1e-8)
     # keying: a level whose rounded offsets split one lattice offset in two,
-    # a family off the h/2 lattice, and a lattice two screen parts far apart
+    # a family off the h/2 lattice, a lattice two screen parts far apart, and
+    # an interval whose centres are off the lattice but whose offsets are on it
     case("Cantor level 7 P0 N=384 k=20 tol 1e-9: S", single_layer(20.0),
          mesh(cantor_prefractal(2, 7, 1 / 3), 3.0 ** -8, "P0"), tol=1e-9)
     shift = 0.3 + np.sqrt(2.0) / 10
@@ -90,6 +92,8 @@ def _cases():
          mesh(make_screen(2, [(0.0, 0.3125), (shift, shift + 0.5)]), 1 / 64, "P0"))
     case("two intervals 50 apart P0 h=1/256 k=10 tol 1e-10: S", single_layer(10.0),
          mesh(make_screen(2, [(0.0, 1 / 16), (50.0, 50.0 + 1 / 16)]), 1 / 256, "P0"))
+    case("interval [0.1, 1.1] P0 h=1/64 k=10 tol 1e-10: S", single_layer(10.0),
+         mesh(make_screen(2, [(0.1, 1.1)]), 1 / 64, "P0"))
     return out
 
 
