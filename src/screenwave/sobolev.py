@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .geometry import Mesh, Screen, dist_to_screen
-from .spectral import assemble_mesh_matrix, bessel
+from .spectral import assemble, bessel
 from .spectral.engine import _TABLE_CELLS
 from .spectral.rules import gauss_panels, split_interval
 
@@ -114,7 +114,7 @@ def gram(mesh: Mesh, s: float, ctx: WaveContext, tol: float = 1e-10) -> GramMatr
             f"{mesh.basis_kind}, n={mesh.dim_screen + 1}"
         )
     # real, and exactly symmetric: entries come from one per-offset table
-    entries = np.real(assemble_mesh_matrix(bessel(ctx.k, s), mesh, tol=tol)).copy()
+    entries = np.real(assemble(bessel(ctx.k, s), mesh, tol=tol)).copy()
     return GramMatrix(s=s, k=ctx.k, entries=entries, mesh=mesh)
 
 

@@ -40,11 +40,11 @@ import numpy as np
 from scipy.special import hankel1, j0
 
 from ..geometry import Mesh
-from .factors import AxisFactor, pair_profile, pair_terms, snap_frequencies
+from .factors import AxisFactor, pair_terms, snap_frequencies
 from .rules import PanelSpec, gauss_panels, radial_rule, sigma_plain, split_interval
-from .tails import (QuadratureError, VGrid, build_axis_table, profile_tails,
-                    required_axis_Y, symbol_series, symbol_series_remainder,
-                    tensor_tail_term)
+from .tails import (AxisTables, QuadratureError, VGrid, axis_tables, damping_columns,
+                    profile_tails, required_axis_Y, symbol_series,
+                    symbol_series_remainder, tensor_tails)
 
 _TABLE_CELLS = 1 << 17   # table cells per batch: bounds the working set
 _KEY_DIGITS = 12         # lattice tolerance 0.5e-12; off-lattice offsets equal to
@@ -187,7 +187,8 @@ class _AxisKeys:
     The n=2 finite table is formed on the grid of offsets hi[a] + lo[b] and
     read at the flat grid positions ``at`` of the keys.  On a lattice family
     ``j`` holds the keys as integers in units of ``step`` and delta = j*step;
-    otherwise ``j`` is None, ``hi`` is ``delta`` and ``lo`` is {0}.
+    otherwise ``j`` is None.  An unfactored grid, every off-lattice one, has
+    ``hi`` = ``delta`` and ``lo`` = {0}.
     """
 
     delta: np.ndarray
@@ -255,19 +256,90 @@ def _axis_keys(c_r: np.ndarray, c_c: np.ndarray, f: AxisFactor,
             (np.cumsum(present) - 1)[flat])
 
 
-def _family_constants(fam: _Family) -> tuple[list[int], list[float], float]:
+def _joined_keys(kx: _AxisKeys, ky: _AxisKeys) -> tuple[_AxisKeys, tuple]:
+    """The union of the keys of two axes with the same factors, and where
+    each axis's keys sit in it; integer keys stay when both have them."""
+    delta = np.concatenate([kx.delta, ky.delta])
+    _, first, inverse = np.unique(np.round(delta, _KEY_DIGITS), return_index=True,
+                                  return_inverse=True)
+    j = None if kx.j is None or ky.j is None else np.concatenate([kx.j, ky.j])[first]
+    keys = _AxisKeys(delta[first], delta[first], np.zeros(1), np.arange(first.size),
+                     j, kx.step)
+    return keys, (inverse[:kx.delta.size], inverse[kx.delta.size:])
+
+
+def _term_frequencies(f: AxisFactor, g: AxisFactor, keys: _AxisKeys):
+    """(q, c, nu): the large-|xi| terms xi^{-q} sum_t c_t e^{i nu_t xi} of f
+    at every key offset against g, with nu a (keys, t) array.
+
+    The pair terms at offset delta have the c_t and frequencies nu_t - delta
+    of offset 0.  Tails are differences in nu, so a key's frequencies must
+    be consistent to far below an ulp of double.  On a lattice family
+    (``_axis_keys``) nu_t = (i_t - j)*step is formed in long double: exact,
+    and shared bit for bit by every key that meets it.  Otherwise nu_t comes
+    from one long-double subtraction with ``snap_frequencies``.
+    """
+    q, c, wf, wg = pair_terms(f, g)
+    if keys.j is not None:
+        i_t = np.rint(wf / keys.step) - np.rint(wg / keys.step)
+        return q, c, (i_t - keys.j[:, None]) * np.longdouble(keys.step)
+    wf_key = wf - keys.delta[:, None].astype(np.longdouble)
+    return q, c, snap_frequencies(wf_key - wg, wf_key, wg)
+
+
+def _cosine_transform(xi: np.ndarray, r: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+                      n_col: int, columns) -> np.ndarray:
+    """sum_q cos((hi[a] + lo[b]) xi_q) r_q U[c, q] for every offset of the
+    grid hi[a] + lo[b] and every row c of the (n_col, nodes) real array U,
+    whose columns of the node slice s ``columns(s)`` returns; an (n_col,
+    hi.size * lo.size) array, the grid flattened as ``_AxisKeys.at`` reads it.
+
+    Node batches hold about ``_TABLE_CELLS`` cells of the product's
+    operands.  With more than one lo, the angle addition formula
+    [cos(hi xi), -sin(hi xi)] @ [cos(lo xi), sin(lo xi)]^T forms the grid
+    from O(hi.size + lo.size) trig rows per node; a single lo is 0.
+    """
+    sines = lo.size > 1
+    step = max(1, _TABLE_CELLS // ((1 + sines) * (hi.size + n_col * lo.size)))
+    acc = 0.0
+    for s in range(0, xi.size, step):
+        b = slice(s, s + step)
+        U, rows = columns(b), np.outer(hi, xi[b])
+        if sines:
+            rows = np.concatenate([np.cos(rows) * r[b], -np.sin(rows) * r[b]], axis=1)
+            cols = np.outer(lo, xi[b])
+            cols = np.concatenate([np.cos(cols), np.sin(cols)], axis=1)
+            U = (cols * np.concatenate([U, U], axis=1)[:, None, :]).reshape(n_col * lo.size, -1)
+        else:
+            rows = np.cos(rows) * r[b]
+        acc = acc + rows @ U.T
+    return acc.reshape(hi.size, n_col, lo.size).transpose(1, 0, 2).reshape(n_col, -1)
+
+
+def _family_constants(fam: _Family) -> tuple[list[int], list[float]]:
     """Per axis, the decay order p and amplitude sum |a_t| of the large-|xi|
-    form, which depend only on kind and h; and the largest frequency |w_t|
-    over all dofs and axes, which |w_t| = |const - c| takes at an extreme
-    centre c."""
-    q, amp, omega = [], [], 0.0
+    form, which depend only on kind and h."""
+    q, amp = [], []
     for a in range(fam.dim):
         p, terms = fam.factor(a).exp_terms()
         q.append(p)
         amp.append(sum(abs(c) for c, _ in terms))
-        for c in (fam.centers[:, a].min(), fam.centers[:, a].max()):
-            omega = max(omega, *(abs(w) for _, w in fam.factor(a, float(c)).exp_terms()[1]))
-    return q, amp, omega
+    return q, amp
+
+
+def _largest_frequency(*fams: _Family) -> float:
+    """The largest term frequency |w_t| = |const_t - c| over the dofs of all
+    families, with centres c measured from their lowest support edge on each
+    axis: the largest extent of their supports.  It depends on the offsets
+    of a mesh, not on where it sits; the half-width of a factor's support
+    is its largest term frequency at centre 0."""
+    extent = 0.0
+    for a in range(fams[0].dim):
+        half = [max(abs(w) for _, w in fam.factor(a).exp_terms()[1]) for fam in fams]
+        edges = [(fam.centers[:, a].min() - hw, fam.centers[:, a].max() + hw)
+                 for fam, hw in zip(fams, half)]
+        extent = max(extent, float(max(e[1] for e in edges) - min(e[0] for e in edges)))
+    return extent
 
 
 def _abs_estimate(fam: _Family, axis: int) -> float:
@@ -310,8 +382,8 @@ class SymbolQuadrature:
         if rows.kinds != cols.kinds:
             raise ValueError("row and column families must share each axis's "
                              f"factor kind: {rows.kinds} against {cols.kinds}")
-        q_r, amp_r, om_r = _family_constants(rows)
-        q_c, amp_c, om_c = _family_constants(cols)
+        q_r, amp_r = _family_constants(rows)
+        q_c, amp_c = _family_constants(cols)
         q_min = min(a + b for a, b in zip(q_r, q_c))
         if kind.growth - q_min >= -1.0:
             raise ValueError(
@@ -323,7 +395,9 @@ class SymbolQuadrature:
         self.kind, self.tol, self.var = kind, tol, var
         self.rows, self.cols = rows, cols
         self.dim = rows.dim
-        self.omega = 2.0 * max(om_r, om_c) + 1.0
+        # one support edge for both families: a block between families far
+        # apart still resolves their offsets
+        self.omega = 2.0 * _largest_frequency(rows, cols) + 1.0
         self.xi_max = X = max(2.5 * k, 40.0) * var.x_fact
         if self.dim == 1:
             rho, self.w, self.panels = radial_rule(
@@ -385,33 +459,17 @@ class SymbolQuadrature:
         per-axis keys, in node batches of about ``_TABLE_CELLS`` table cells.
 
         n=2 folds the line onto the half-line rule (factor 2) and forms the
-        grid hi[a] + lo[b] of ``_AxisKeys`` in one product per batch, by the
-        angle addition formula: with wP = u + iv,
-        [cos(hi xi), -sin(hi xi)] @ [[cos(lo xi), sin(lo xi)] u;
-        [cos(lo xi), sin(lo xi)] v]^T.  An off-lattice family has lo = {0},
-        so it contracts cos(delta xi) against [u, v] and forms no sines.  n=3 is
-        (cos(dx xi1) w P) @ cos(dy xi2)^T at the key offsets.
+        grid hi[a] + lo[b] of ``_AxisKeys`` by ``_cosine_transform`` of P
+        against the columns [Re w, Im w].  n=3 is (cos(dx xi1) w P) @
+        cos(dy xi2)^T at the key offsets.
         """
         pairs = [(self.rows.factor(a), self.cols.factor(a)) for a in range(self.dim)]
         if self.dim == 1:
             (key,), ((f, g),), (xi,) = keys, pairs, self.nodes
-            sines = key.lo.size > 1
-            # cells per node of the product's operands
-            step = max(1, _TABLE_CELLS // ((1 + sines) * (key.hi.size + 2 * key.lo.size)))
-            acc = 0.0
-            for s in range(0, self.w.size, step):
-                x = xi[s:s + step]
-                wP = self.w[s:s + step] * (f.value(x) * np.conj(g.value(x))).real
-                hi, lo = np.outer(key.hi, x), np.outer(key.lo, x)
-                if sines:
-                    hi = np.concatenate([np.cos(hi), -np.sin(hi)], axis=1)
-                    lo = np.concatenate([np.cos(lo), np.sin(lo)], axis=1)
-                    wP = np.concatenate([wP, wP])
-                else:
-                    hi, lo = np.cos(hi), np.cos(lo)
-                acc = acc + hi @ np.concatenate([lo * wP.real, lo * wP.imag]).T
-            n_lo = key.lo.size
-            return 2.0 * (acc[:, :n_lo] + 1j * acc[:, n_lo:]).ravel()[key.at]
+            w = np.stack([self.w.real, self.w.imag])
+            re, im = _cosine_transform(xi, (f.value(xi) * np.conj(g.value(xi))).real,
+                                       key.hi, key.lo, 2, lambda b: w[:, b])
+            return 2.0 * (re + 1j * im)[key.at]
         step = max(1, _TABLE_CELLS // max(key.delta.size for key in keys))
         acc = 0.0
         for s in range(0, self.w.size, step):
@@ -427,51 +485,48 @@ class SymbolQuadrature:
         return acc[:n_x] + 1j * acc[n_x:]
 
     def _tail_table(self, keys) -> np.ndarray:
-        """Part of each table entry beyond the finite rule: |xi| > X (n=2) or
-        the exterior of the square max|xi_a| > X (n=3, from one axis table per
-        x key and per y key).
-
-        n=2 takes every key in one array pass.  The pair terms of the two
-        families at offset 0 give, at offset delta, the same coefficients c_t
-        and the frequencies nu_t - delta.  The P0 tail is a second difference
-        in nu and the P1 tail a fourth, so a key's frequencies must be
-        consistent to far below an ulp of double.  On a lattice family
-        (``_axis_keys``) the term frequencies are multiples i_t of the key
-        step, and nu_t = (i_t - j)*step is formed in long double: exact, and
-        shared bit for bit by every key that meets it.  Otherwise nu_t comes
-        from one long-double subtraction with ``snap_frequencies``.
-        """
+        """Part of each table entry beyond the finite rule: |xi| > X (n=2), or
+        the exterior of the square max|xi_a| > X (n=3) from one batch of axis
+        tables per axis, shared by the two axes of a square family."""
         if self.dim == 1:
             (key,) = keys
-            q, c, wf, wg = pair_terms(self.rows.factor(0), self.cols.factor(0))
-            if key.j is not None:
-                i_t = np.rint(wf / key.step) - np.rint(wg / key.step)
-                nu = (i_t - key.j[:, None]) * np.longdouble(key.step)
-            else:
-                wf_key = wf - key.delta[:, None].astype(np.longdouble)
-                nu = snap_frequencies(wf_key - wg, wf_key, wg)
+            q, c, nu = _term_frequencies(self.rows.factor(0), self.cols.factor(0), key)
             return profile_tails(c, nu, q, self.sigma_terms, self.xi_max)
-        tables: dict = {}
+        axis_ids = [(self.rows.kinds[a], self.rows.h[a], self.cols.h[a], self.other_abs[a])
+                    for a in range(2)]
+        if axis_ids[0] == axis_ids[1]:
+            both, (ix, iy) = _joined_keys(*keys)
+            t = self._axis_tables(0, both)
+            return tensor_tails(self.sigma_terms, t, t, self.vgrid)[np.ix_(ix, iy)]
+        ax, ay = (self._axis_tables(a, key) for a, key in enumerate(keys))
+        return tensor_tails(self.sigma_terms, ax, ay, self.vgrid)
 
-        def axis_table(axis, delta):
-            # the two axes of a square family share their tables
-            key = (self.rows.kinds[axis], self.rows.h[axis], self.cols.h[axis],
-                   self.other_abs[axis], round(float(delta), _KEY_DIGITS))
-            if key not in tables:
-                prof = pair_profile(self.rows.factor(axis, float(delta)),
-                                    self.cols.factor(axis))
-                Y = required_axis_Y(prof, self.other_abs[axis], self.tol / 8.0,
-                                    self.has_subtracted)
-                tables[key] = build_axis_table(prof, self.xi_max, Y, self.omega,
-                                               self.vgrid, order=self.var.order,
-                                               scale=self.var.scale)
-            return tables[key]
+    def _axis_tables(self, axis: int, keys: _AxisKeys) -> AxisTables:
+        """The ``AxisTables`` of one axis's keys.  A key's profile is
+        B(xi) e^{-i delta xi}, B = b_r conj(b_c) real, so each rule's part is
+        a ``_cosine_transform`` of 2 w B: one rule on (0, X) for all keys and
+        one on (X, Y) per axis cutoff Y.  Against some V + 2 columns a cosine
+        row per key costs less than a factored grid's, so lo = {0}."""
+        f, g = self.rows.factor(axis), self.cols.factor(axis)
+        q, c, nu = _term_frequencies(f, g, keys)
+        Y = required_axis_Y(q, c, nu, self.other_abs[axis], self.tol / 8.0,
+                            self.has_subtracted)
+        v = self.vgrid.nodes
 
-        ax = [axis_table(0, d) for d in keys[0].delta]
-        ay = [axis_table(1, d) for d in keys[1].delta]
-        return np.array([[sum(coef * tensor_tail_term(p, tx, ty, self.vgrid)
-                              for coef, p in self.sigma_terms) for ty in ay]
-                         for tx in ax])
+        def transform(lo, hi, delta):
+            xi, w = gauss_panels(split_interval(lo, hi, self.var.scale * np.pi
+                                                / max(self.omega, 0.5), min_panels=4),
+                                 self.var.order)
+            return _cosine_transform(xi, 2.0 * w * (f.value(xi) * np.conj(g.value(xi))).real,
+                                     delta, np.zeros(1), v.size + 2,
+                                     lambda b: damping_columns(xi[b], v, self.xi_max))
+
+        d = transform(0.0, self.xi_max, keys.delta)
+        e = np.empty_like(d)
+        for y in np.unique(Y):
+            at = Y == y
+            e[:, at] = transform(self.xi_max, y, keys.delta[at])
+        return axis_tables(q, c, nu, self.xi_max, Y, d, e, self.vgrid)
 
 
 def _choose_series_order(kind, X, budget, env_of_p, m_cap: int = 60):
@@ -567,11 +622,6 @@ def symbol_integral(kind: SymbolKind, i: int, j: int,
     if kind != quad.kind:
         raise ValueError("symbol kind does not match the prebuilt quadrature")
     return complex(quad.matrix([i], [j])[0, 0])
-
-
-def assemble_mesh_matrix(kind: SymbolKind, mesh: Mesh, tol: float = 1e-10,
-                         variant: int = 0) -> np.ndarray:
-    return assemble(kind, mesh, None, tol, variant)
 
 
 # ---------------------------------------------------------------------------

@@ -82,34 +82,6 @@ class AxisFactor:
         raise ValueError(f"unknown factor kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class PairProfile:
-    """F(xi) = f(xi) * conj(g(xi)) for two axis factors (real xi).
-
-    ``q`` and ``terms`` give the exact representation
-    F(xi) = xi^{-q} sum_t c_t exp(i nu_t xi); conjugate symmetry holds:
-    F(-xi) = conj(F(xi)).
-    """
-
-    f: AxisFactor
-    g: AxisFactor
-    q: int
-    terms: tuple[tuple[complex, float], ...]
-
-    def value(self, xi: np.ndarray) -> np.ndarray:
-        return self.f.value(xi) * np.conj(self.g.value(xi))
-
-    def dc_coefficient(self) -> complex:
-        return sum(c for c, nu in self.terms if nu == 0.0)
-
-    def nonzero_terms(self) -> list[tuple[complex, float]]:
-        return [(c, nu) for c, nu in self.terms if nu != 0.0]
-
-    def min_nonzero_freq(self) -> float:
-        nz = [abs(nu) for _, nu in self.terms if nu != 0.0]
-        return min(nz) if nz else np.inf
-
-
 def pair_terms(f: AxisFactor, g: AxisFactor):
     """Unmerged large-|xi| terms of f(xi) * conj(g(xi)) for real xi > 0:
 
@@ -137,13 +109,3 @@ def snap_frequencies(nu, wf, wg):
     """
     return np.where(np.abs(nu) <= _FREQ_SNAP * np.maximum(np.abs(wf), np.abs(wg)),
                     0.0, nu)
-
-
-def pair_profile(f: AxisFactor, g: AxisFactor) -> PairProfile:
-    """``pair_terms`` with terms of equal frequency merged."""
-    q, c, wf, wg = pair_terms(f, g)
-    acc: dict[float, complex] = {}
-    for ct, nu in zip(c, snap_frequencies(wf - wg, wf, wg)):
-        acc[nu] = acc.get(nu, 0.0) + ct
-    terms = tuple(sorted(((c, nu) for nu, c in acc.items()), key=lambda t: t[1]))
-    return PairProfile(f=f, g=g, q=q, terms=terms)

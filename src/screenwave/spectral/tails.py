@@ -17,7 +17,12 @@ the basis-product factors the leftover integrals reduce to
   computed through the heat-kernel factorization
       |xi|^{-s} = (1/Gamma(s/2)) int_0^inf v^{s/2-1} e^{-|xi|^2 v} dv
   (and its once-subtracted variant for 0 < p < 2), which turns every term
-  into products of 1-D Gaussian-damped axis integrals.
+  into products of 1-D Gaussian-damped axis integrals.  Those of all keys
+  of one axis are cosine transforms of one rule on (0, X) and one per axis
+  cutoff Y on (X, Y) against damping columns over the v grid, completed
+  beyond Y by the exact DC term and the ``profile_tails`` of the others;
+  the exterior integrals of all pairs of an x key and a y key are then a
+  few matrix products over the v grid per series term.
 
 All neglected pieces carry explicit envelope/IBP bounds that are accumulated
 into the quadrature's certified tail bound.
@@ -31,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import binom, digamma, erfc, gammaln, zeta
 
-from .factors import PairProfile
-from .rules import gauss_panels, split_interval
+from .rules import gauss_panels
 
 # the series loses ~e^{|z|} ulps to cancellation; 1 keeps it below 6e-16
 _SERIES_RADIUS = 1.0
@@ -329,174 +333,157 @@ class VGrid:
 
 
 @dataclass
-class AxisTable:
-    """Per-axis-pair 1-D Gaussian-damped integral tables over a VGrid.
+class AxisTables:
+    """Per key of one axis, the Gaussian-damped 1-D integrals of its profile F:
+    d over (-X, X), e over |xi| > X, at v = 0 (d0, e0) and at the v-grid
+    nodes ((keys, v) arrays dv, ev) with their differences value(0) - value(v)
+    (ddv, dev); d2 = int_{-X}^{X} xi^2 F and m2 the exact full-line second
+    moment, nan below decay order 4."""
 
-    d(v) covers (-X, X); e(v) covers |xi| in (X, Y) plus analytic tails; the
-    full-line integral is q(v) = d(v) + e(v).  Delta arrays hold the stable
-    differences value(0) - value(v).
-    """
-
-    q: int
-    d0: float
-    e0: float
+    d0: np.ndarray
+    e0: np.ndarray
     dv: np.ndarray
     ev: np.ndarray
-    ddv: np.ndarray       # d(0) - d(v)
-    dev: np.ndarray       # e(0) - e(v)
-    m2_full: float        # int xi^2 F (full line, exact tails), nan if q < 4
-    d2: float             # int_{-X}^{X} xi^2 F
-
-    @property
-    def q0(self) -> float:
-        return self.d0 + self.e0
+    ddv: np.ndarray
+    dev: np.ndarray
+    d2: np.ndarray
+    m2: np.ndarray
 
 
-def _real_dot_tables(xi, w, F, vgrid, Y):
-    """exp dots and their expm1 deltas for weights 2*Re(w F) over the v grid."""
-    rw = 2.0 * np.real(w * F)
-    base = float(np.sum(rw))
-    vals = np.empty(vgrid.nodes.size)
-    deltas = np.empty(vgrid.nodes.size)
-    xi2 = xi * xi
-    # small-v fast path: polynomial in (v Y^2) from scaled moments
-    r = xi2 / (Y * Y)
-    J = 40
-    mom = np.empty(J + 1)
-    rj = np.ones_like(r)
-    for j in range(J + 1):
-        mom[j] = float(np.sum(rw * rj))
-        rj = rj * r
-    v_fast = 4.0 / (Y * Y)
-    for iv, v in enumerate(vgrid.nodes):
-        if v <= v_fast:
-            x = -v * Y * Y
-            term = 1.0
-            acc = 0.0
-            for j in range(1, J + 1):
-                term *= x / j
-                acc += term * mom[j]
-            deltas[iv] = -acc
-            vals[iv] = base - deltas[iv]
-        else:
-            cut = np.searchsorted(xi2, 45.0 / v)
-            ex = np.exp(-v * xi2[:cut])
-            vals[iv] = float(np.sum(rw[:cut] * ex))
-            deltas[iv] = base - vals[iv]
-    return base, vals, deltas
+def _expm1_rows(v: np.ndarray, X: float) -> np.ndarray:
+    """The v at which the differences value(0) - value(v) are the smaller
+    part of value(0) and come from expm1; above, the values are, from exp.
+    The weight of both rules sits within a few X of 0."""
+    return v <= 1.0 / (X * X)
 
 
-def build_axis_table(profile: PairProfile, X: float, Y: float, omega: float,
-                     vgrid: VGrid, order: int = 16, scale: float = 1.0) -> AxisTable:
-    """Assemble the Gaussian-damped tables for one axis pair."""
-    q = profile.q
-    if q % 2 != 0:
-        raise ValueError("tensor tails require even per-axis decay order")
-    xi_d, w_d = gauss_panels(split_interval(0.0, X, scale * np.pi / max(omega, 0.5),
-                                            min_panels=4), order)
-    xi_e, w_e = gauss_panels(split_interval(X, Y, scale * np.pi / max(omega, 0.5),
-                                            min_panels=4), order)
-    F_d = profile.value(xi_d)
-    F_e = profile.value(xi_e)
-
-    d0, dvals, ddel = _real_dot_tables(xi_d, w_d, F_d, vgrid, Y)
-    e0r, evals, edel = _real_dot_tables(xi_e, w_e, F_e, vgrid, Y)
-
-    cdc = profile.dc_coefficient()
-    cdc_r = float(np.real(cdc))      # imaginary part integrates to zero
-    dc0 = 2.0 * cdc_r * float(_gauss_tail_dc(q, np.array([0.0]), Y)[0])
-    dc_v = 2.0 * cdc_r * _gauss_tail_dc(q, vgrid.nodes, Y)
-    dc_delta = 2.0 * cdc_r * _delta_gauss_tail_dc(q, vgrid.nodes, Y)
-
-    # exact non-DC tail at v=0; modelled as nonDC0 * e^{-Y^2 v} for v > 0
-    nz = profile.nonzero_terms()
-    c_nz = np.array([c for c, _ in nz], dtype=complex)
-    nu_nz = np.array([nu for _, nu in nz], dtype=float)
-    vals = halfline_osc_integral(q, nu_nz, Y)
-    non_dc0 = float(np.sum(np.real(c_nz * (vals + (-1.0) ** q * vals.conj()))))
-    damp = np.exp(-vgrid.nodes * Y * Y)
-    e0 = e0r + dc0 + non_dc0
-    ev = evals + dc_v + non_dc0 * damp
-    dev = edel + dc_delta + non_dc0 * (1.0 - damp)
-
-    # exact second moments where absolutely convergent
-    if q >= 4:
-        m2_rule = (2.0 * float(np.sum(np.real(w_d * F_d) * xi_d ** 2))
-                   + 2.0 * float(np.sum(np.real(w_e * F_e) * xi_e ** 2)))
-        c, nu = np.array(profile.terms).T
-        m2_tail = np.real(profile_tails(c, nu.real[None], q, [(1.0, 2.0)], Y)[0])
-        m2_full = m2_rule + float(m2_tail)
-    else:
-        m2_full = float("nan")
-    d2 = 2.0 * float(np.sum(np.real(w_d * F_d) * xi_d ** 2))
-
-    return AxisTable(q=q, d0=d0, e0=e0, dv=dvals, ev=ev, ddv=ddel, dev=dev,
-                     m2_full=m2_full, d2=d2)
+def damping_columns(xi: np.ndarray, v: np.ndarray, X: float) -> np.ndarray:
+    """The (v.size + 2, xi.size) rows [1, g, xi^2], g = expm1(-v xi^2) at the
+    ``_expm1_rows`` and e^{-v xi^2} at the other v, that ``axis_tables``
+    reads.  ``xi`` and ``v`` ascend; rows where v xi^2 passes 38 (expm1 is
+    -1) or 746 (exp is 0) at the first node are filled, not evaluated."""
+    V, x2 = v.size, xi * xi
+    U = np.empty((V + 2, xi.size))
+    U[0], U[-1] = 1.0, x2
+    g = U[1:V + 1]
+    n_m = np.count_nonzero(_expm1_rows(v, X))
+    n_d, n_e = np.searchsorted(v, [38.0 / x2[0], 746.0 / x2[0]])
+    n_d, n_e = min(n_d, n_m), max(n_e, n_m)
+    # einsum forms the outer products faster than a broadcast multiply
+    np.einsum("i,j->ij", -v[:n_d], x2, out=g[:n_d])
+    np.einsum("i,j->ij", -v[n_m:n_e], x2, out=g[n_m:n_e])
+    np.expm1(g[:n_d], out=g[:n_d])
+    np.exp(g[n_m:n_e], out=g[n_m:n_e])
+    g[n_d:n_m], g[n_e:] = -1.0, 0.0
+    return U
 
 
-def required_axis_Y(profile: PairProfile, other_abs: float, budget: float,
-                    has_subtracted: bool, Y_min: float = 2000.0,
-                    Y_max: float = 4.0e5) -> float:
-    """Smallest power-of-two-scaled Y meeting the model-error budget."""
-    q = profile.q
-    s_nz = sum(abs(c) for c, _ in profile.nonzero_terms())
-    nu_min = profile.min_nonzero_freq()
-    Y = Y_min
-    while Y <= Y_max:
+def axis_tables(q: int, c: np.ndarray, nu: np.ndarray, X: float, Y: np.ndarray,
+                d: np.ndarray, e: np.ndarray, vgrid: VGrid) -> AxisTables:
+    """Every key's tables from the transforms ``d`` of its rule on (0, X) and
+    ``e`` on (X, Y) against the ``damping_columns`` and from its terms ``c``,
+    (keys, t) frequencies ``nu`` and order q.  Beyond Y the DC term is exact
+    at every v; the others are exact at v = 0 and damped by e^{-Y^2 v}."""
+    v = vgrid.nodes
+    m = _expm1_rows(v, X)[None]
+
+    def fields(t):
+        base, g = t[0][:, None], t[1:-1].T
+        return t[0], np.where(m, base + g, g), np.where(m, -g, base - g), t[-1]
+
+    d0, dv, ddv, d2 = fields(d)
+    e0, ev, dev, e2 = fields(e)
+    dc = nu == 0.0
+    cdc = 2.0 * np.sum(np.where(dc, c, 0.0), axis=1).real   # the imaginary part integrates to 0
+    non_dc0 = np.empty(Y.size)
+    m2_tail = np.full(Y.size, np.nan)
+    for y in np.unique(Y):
+        at = Y == y
+        non_dc0[at] = profile_tails(np.where(dc[at], 0.0, c), nu[at], q, [(1.0, 0.0)], y).real
+        if q >= 4:
+            m2_tail[at] = profile_tails(c, nu[at], q, [(1.0, 2.0)], y).real
+    Yk = Y[:, None]
+    damp = np.exp(-v * Yk * Yk)
+    return AxisTables(
+        d0=d0, dv=dv, ddv=ddv, d2=d2, m2=d2 + e2 + m2_tail,
+        e0=e0 + cdc * _gauss_tail_dc(q, np.zeros(1), Y) + non_dc0,
+        ev=ev + cdc[:, None] * _gauss_tail_dc(q, v, Yk) + non_dc0[:, None] * damp,
+        dev=dev + cdc[:, None] * _delta_gauss_tail_dc(q, v, Yk)
+        + non_dc0[:, None] * (1.0 - damp))
+
+
+def required_axis_Y(q: int, c: np.ndarray, nu: np.ndarray, other_abs: float,
+                    budget: float, has_subtracted: bool, Y_min: float = 2000.0,
+                    Y_max: float = 4.0e5) -> np.ndarray:
+    """Per key, a row of the (keys, t) frequencies ``nu`` of the terms ``c``
+    of order q, the smallest power-of-two-scaled Y meeting the model-error
+    budget.  Terms of equal frequency are merged before their amplitudes
+    are summed."""
+    rows = np.arange(nu.shape[0])[:, None]
+    order = np.argsort(nu, axis=1, kind="stable")
+    nu = nu[rows, order]
+    c = np.where(nu == 0.0, 0.0, np.broadcast_to(c, nu.shape)[rows, order])
+    # terms of one frequency share a run index; runs are summed in frequency order
+    new = np.ones(nu.shape, dtype=bool)
+    new[:, 1:] = nu[:, 1:] != nu[:, :-1]
+    merged = np.zeros(nu.shape, dtype=complex)
+    np.add.at(merged, (rows, np.cumsum(new, axis=1) - 1), c)
+    s_nz = sum(np.abs(merged[:, t]) for t in range(nu.shape[1]))
+    nu_min = np.min(np.abs(np.where(nu == 0.0, np.inf, nu)), axis=1).astype(float)
+    Y = np.zeros(nu.shape[0])
+    cand = Y_min
+    while cand <= Y_max:
         # model-error constant: the smaller of the IBP and envelope bounds
-        k_ibp = 2.0 * s_nz / (nu_min * Y ** q) if np.isfinite(nu_min) else np.inf
-        k_env = 2.0 * s_nz / ((q - 1) * Y ** (q - 1))
-        K = min(k_ibp, k_env)
-        err = K * other_abs * (4.0 * Y if has_subtracted else 1.0 / Y)
-        if err <= budget:
-            return Y
-        Y *= 2.0
-    raise QuadratureError("axis tail truncation cannot meet the requested tolerance")
+        k_ibp = 2.0 * s_nz / (nu_min * cand ** q)
+        k_env = 2.0 * s_nz / ((q - 1) * cand ** (q - 1))
+        err = np.minimum(k_ibp, k_env) * other_abs * (4.0 * cand if has_subtracted else 1.0 / cand)
+        Y = np.where((Y == 0.0) & (err <= budget), cand, Y)
+        cand *= 2.0
+    if not Y.all():
+        raise QuadratureError("axis tail truncation cannot meet the requested tolerance")
+    return Y
 
 
-def tensor_tail_term(p: float, ax: AxisTable, ay: AxisTable, vgrid: VGrid) -> float:
-    """Exterior-of-square integral int_{max|xi_i|>X} |xi|^p P(xi) d xi.
+def tensor_tails(series, ax: AxisTables, ay: AxisTables, vgrid: VGrid) -> np.ndarray:
+    """(x keys, y keys) table of sum_s coef_s int_{max|xi_a|>X} |xi|^{p_s} P(xi)
+    d xi, P the product of an x key's and a y key's axis profiles.
 
     Supported exponents: p = 2 and p = 0 exactly, p in (0,2) by the
-    subtracted heat-kernel identity, p < 0 by the direct one.
+    subtracted heat-kernel identity, p < 0 by the direct one; each is a few
+    (x keys, v) @ (v, y keys) products against the v-grid weights.
     """
-    T0 = ax.e0 * ay.e0 + ax.e0 * ay.d0 + ax.d0 * ay.e0
-    if p == 0.0:
-        return T0
-    if p == 2.0:
-        if not (np.isfinite(ax.m2_full) and np.isfinite(ay.m2_full)):
-            raise ValueError("rho^2 moment requires axis decay order >= 4")
-        return _m2_exterior(ax, ay)
-
     v, wv = vgrid.nodes, vgrid.weights
-    if p < 0.0:
-        s = -p
-        # E(v) = ex ey + ex dy + dx ey  (cancellation-free exterior integral)
-        E = ax.ev * ay.ev + ax.ev * ay.dv + ax.dv * ay.ev
-        integral = float(np.sum(wv * v ** (s / 2.0 - 1.0) * E))
-        # analytic completion below v_min where E ~ T0
-        integral += T0 * (2.0 / s) * vgrid.v_min ** (s / 2.0)
-        return integral / math.exp(gammaln(s / 2.0))
-
-    if 0.0 < p < 2.0:
-        # bracket(v) = T0 - E(v) = e0x dqy + qy(v) dex + d0x dey + ey(v) ddx
-        dq_y = ay.ddv + ay.dev
-        q_yv = ay.dv + ay.ev
-        bracket = (ax.e0 * dq_y + q_yv * ax.dev + ax.d0 * ay.dev + ay.ev * ax.ddv)
-        c_p = -1.0 / math.gamma(-p / 2.0)
-        integral = float(np.sum(wv * v ** (-p / 2.0 - 1.0) * bracket))
-        integral += T0 * (2.0 / p) * vgrid.v_big ** (-p / 2.0)
-        if np.isfinite(ax.m2_full) and np.isfinite(ay.m2_full):
-            # small-v completion: bracket ~ v * M2_ext below v_min
-            m2_ext = _m2_exterior(ax, ay)
-            integral += m2_ext * vgrid.v_min ** (1.0 - p / 2.0) / (1.0 - p / 2.0)
-        return c_p * integral
-
-    raise ValueError(f"unsupported tail exponent p={p}")
-
-
-def _m2_exterior(ax: AxisTable, ay: AxisTable) -> float:
-    """int_{ext} rho^2 P = int_{ext}(xi1^2 + xi2^2) P via tensor moments."""
-    t1 = ax.m2_full * ay.q0 - ax.d2 * ay.d0
-    t2 = ay.m2_full * ax.q0 - ay.d2 * ax.d0
-    return t1 + t2
+    T0 = np.outer(ax.e0, ay.e0) + np.outer(ax.e0, ay.d0) + np.outer(ax.d0, ay.e0)
+    # int_ext rho^2 P = int_ext (xi1^2 + xi2^2) P via tensor moments
+    m2 = (np.outer(ax.m2, ay.d0 + ay.e0) - np.outer(ax.d2, ay.d0)
+          + (np.outer(ax.d0 + ax.e0, ay.m2) - np.outer(ax.d0, ay.d2)))
+    exact_m2 = not np.isnan(m2).any()
+    total = 0.0
+    for coef, p in series:
+        if p == 0.0:
+            term = T0
+        elif p == 2.0:       # G(1): integrable only against hats, decay order 4
+            term = m2
+        elif p < 0.0:
+            s = -p
+            wp = wv * v ** (s / 2.0 - 1.0)
+            # E(v) = ex ey + ex dy + dx ey  (cancellation-free exterior integral)
+            integral = (ax.ev * wp) @ (ay.ev + ay.dv).T + (ax.dv * wp) @ ay.ev.T
+            # analytic completion below v_min where E ~ T0
+            integral = integral + T0 * (2.0 / s) * vgrid.v_min ** (s / 2.0)
+            term = integral / math.exp(gammaln(s / 2.0))
+        elif 0.0 < p < 2.0:
+            wp = wv * v ** (-p / 2.0 - 1.0)
+            # bracket(v) = T0 - E(v) = e0x dqy + qy(v) dex + d0x dey + ey(v) ddx
+            integral = (np.outer(ax.e0, (ay.ddv + ay.dev) @ wp)
+                        + (ax.dev * wp) @ (ay.dv + ay.ev).T
+                        + np.outer(ax.d0, ay.dev @ wp) + (ax.ddv * wp) @ ay.ev.T)
+            integral = integral + T0 * (2.0 / p) * vgrid.v_big ** (-p / 2.0)
+            if exact_m2:
+                # small-v completion: bracket ~ v * M2_ext below v_min
+                integral = integral + m2 * vgrid.v_min ** (1.0 - p / 2.0) / (1.0 - p / 2.0)
+            term = -integral / math.gamma(-p / 2.0)
+        else:
+            raise ValueError(f"unsupported tail exponent p={p}")
+        total = total + coef * term
+    return total

@@ -160,6 +160,18 @@ class TestKernelOracle:
         rel = np.abs(sys_.matrix - oracle) / np.abs(oracle)
         assert rel.max() < 1e-7
 
+    def test_n3_off_lattice_vs_spectral(self):
+        # the second rectangle sits off the h/2 lattice in x, so the x
+        # offsets are keyed by value and their frequencies snapped
+        s = np.sqrt(2.0) / 10
+        screen = make_screen(3, [((0, 0), (0.5, 0.5)), ((0.5 + s, 0.25), (1 + s, 0.75))])
+        mesh = build_mesh(screen, 0.25, "P0")
+        ctx = WaveContext(2.0)
+        sys_ = assemble_single_layer(mesh, ctx, tol=1e-9)
+        oracle = kernel_oracle_single_layer(mesh, ctx)
+        rel = np.abs(sys_.matrix - oracle) / np.abs(oracle)
+        assert rel.max() < 1e-7
+
     def test_n3_dust_vs_spectral(self):
         # multi-box screen: element pairs with large center offsets
         from screenwave import cantor_prefractal

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from screenwave import build_mesh, cantor_prefractal, make_screen
-from screenwave.spectral import (assemble, assemble_mesh_matrix, basis_ft,
+from screenwave.spectral import (assemble, basis_ft,
                                  bessel, build_quadrature, hypersingular,
                                  mesh_dof_factors, single_layer,
                                  symbol_integral, symbol_Z,
@@ -16,7 +16,7 @@ from screenwave.spectral import (assemble, assemble_mesh_matrix, basis_ft,
 from screenwave.spectral import tails
 from screenwave.spectral import engine
 from screenwave.spectral.engine import SymbolQuadrature, _axis_keys, _Family
-from screenwave.spectral.factors import AxisFactor, pair_profile
+from screenwave.spectral.factors import AxisFactor, pair_terms, snap_frequencies
 from screenwave.spectral.rules import gauss_legendre, gauss_panels
 from screenwave.spectral.tails import expint, halfline_osc_integral
 
@@ -123,20 +123,34 @@ class TestBuildQuadrature:
         assert g00 == pytest.approx(p0_mesh8.h, abs=1e-10)
 
     def test_refinement_self_consistency(self, p0_mesh8):
-        coarse = assemble_mesh_matrix(single_layer(5.0), p0_mesh8, tol=1e-6)
-        fine = assemble_mesh_matrix(single_layer(5.0), p0_mesh8, tol=1e-12)
+        coarse = assemble(single_layer(5.0), p0_mesh8, tol=1e-6)
+        fine = assemble(single_layer(5.0), p0_mesh8, tol=1e-12)
         assert np.abs(coarse - fine).max() < 1e-6
 
     def test_unreachable_tolerance_is_numerical_failure(self):
         from screenwave.spectral import QuadratureError
-        from screenwave.spectral.factors import AxisFactor, pair_profile
         from screenwave.spectral.tails import required_axis_Y
 
-        prof = pair_profile(AxisFactor("dhat", 0.5, 0.25),
-                            AxisFactor("dhat", 0.5, 0.25))
+        q, c, wf, wg = pair_terms(AxisFactor("dhat", 0.5, 0.25),
+                                  AxisFactor("dhat", 0.5, 0.25))
         with pytest.raises(QuadratureError, match="tolerance"):
-            required_axis_Y(prof, other_abs=1.0, budget=1e-40,
-                            has_subtracted=False)
+            required_axis_Y(q, c, snap_frequencies(wf - wg, wf, wg)[None], other_abs=1.0,
+                            budget=1e-40, has_subtracted=False)
+
+    @pytest.mark.parametrize("a", [0.1, 5.0, 50.0, -3.0])
+    def test_interval_plan_and_matrix_translation_invariant(self, a):
+        # the rule resolves the offsets of a mesh, not where it sits
+        kind = single_layer(10.0)
+        base = build_mesh(make_screen(2, [(0.0, 1.0)]), 1 / 64, "P0")
+        moved = build_mesh(make_screen(2, [(a, a + 1.0)]), 1 / 64, "P0")
+        assert build_quadrature(kind, moved).w.size == build_quadrature(kind, base).w.size == 912
+        assert np.array_equal(assemble(kind, moved), assemble(kind, base))
+
+    def test_square_matrix_translation_invariant(self, unit_square):
+        kind = single_layer(2.0)
+        moved = make_screen(3, [((5.0, -3.0), (6.0, -2.0))])
+        assert np.array_equal(assemble(kind, build_mesh(moved, 1 / 4, "P0")),
+                              assemble(kind, build_mesh(unit_square, 1 / 4, "P0")))
 
 
 class TestSymbolIntegral:
@@ -164,11 +178,11 @@ class TestSymbolIntegral:
                    limit=800)[0]
         im = quad(lambda x: mod2(x) / np.sqrt(1 - x * x), 0, 1, limit=200)[0]
         expected = re + 1j * im
-        A = assemble_mesh_matrix(single_layer(k), mesh, tol=1e-10)
+        A = assemble(single_layer(k), mesh, tol=1e-10)
         assert A[0, 0] == pytest.approx(expected, abs=5e-9)
 
     def test_complex_symmetry(self, p0_mesh8):
-        A = assemble_mesh_matrix(single_layer(4.0), p0_mesh8, tol=1e-10)
+        A = assemble(single_layer(4.0), p0_mesh8, tol=1e-10)
         assert np.abs(A - A.T).max() < 1e-12
 
     def test_entry_symmetry_under_index_swap(self, p0_mesh8):
@@ -179,14 +193,14 @@ class TestSymbolIntegral:
         assert abs(a - b) < 1e-12
 
     def test_sign_structure_single_layer(self, p0_mesh8, rng):
-        A = assemble_mesh_matrix(single_layer(4.0), p0_mesh8, tol=1e-10)
+        A = assemble(single_layer(4.0), p0_mesh8, tol=1e-10)
         for _ in range(10):
             c = rng.standard_normal(p0_mesh8.n_dofs)
             q = np.vdot(c, A @ c)
             assert q.real >= -1e-12 and q.imag >= -1e-12
 
     def test_sign_structure_hypersingular(self, p1_mesh, rng):
-        B = assemble_mesh_matrix(hypersingular(4.0), p1_mesh, tol=1e-10)
+        B = assemble(hypersingular(4.0), p1_mesh, tol=1e-10)
         for _ in range(10):
             c = rng.standard_normal(p1_mesh.n_dofs)
             q = np.vdot(c, B @ c)
@@ -197,7 +211,7 @@ class TestSymbolIntegral:
         C = assemble(single_layer(3.0), mesh_dof_factors(fine),
                      mesh_dof_factors(p0_mesh8), tol=1e-9)
         # prolongation consistency: coarse self-pairing equals summed cross rows
-        A = assemble_mesh_matrix(single_layer(3.0), p0_mesh8, tol=1e-9)
+        A = assemble(single_layer(3.0), p0_mesh8, tol=1e-9)
         P = np.zeros((fine.n_dofs, p0_mesh8.n_dofs))
         for i in range(fine.n_dofs):
             P[i, i // 2] = 1.0
@@ -288,15 +302,18 @@ def _line_keys(quad):
 
 
 def _per_key_tails(quad, deltas):
-    """Each key's pair profile and one half-line integral per (order, term)."""
+    """Each key's snapped pair terms, those of equal frequency merged, and
+    one half-line integral per (order, term)."""
     out = []
     for d in deltas:
-        prof = pair_profile(quad.rows.factor(0, float(d)), quad.cols.factor(0))
-        c = np.array([a for a, _ in prof.terms])
-        nu = np.array([v for _, v in prof.terms])
+        q, c, wf, wg = pair_terms(quad.rows.factor(0, float(d)), quad.cols.factor(0))
+        merged = {}
+        for ct, nu in zip(c, snap_frequencies(wf - wg, wf, wg)):
+            merged[nu] = merged.get(nu, 0.0) + ct
+        nu = np.array(sorted(merged))
         coef, p = np.array(quad.sigma_terms).T
-        vals = halfline_osc_integral(prof.q - p[:, None], nu, quad.xi_max)
-        out.append(coef @ (vals + (-1.0) ** prof.q * vals.conj()) @ c)
+        vals = halfline_osc_integral(q - p[:, None], nu, quad.xi_max)
+        out.append(coef @ (vals + (-1.0) ** q * vals.conj()) @ np.array([merged[v] for v in nu]))
     return np.array(out)
 
 
@@ -533,7 +550,7 @@ def test_n3_square_p0_h16_assembles(unit_square, rng):
     """N = 256 dofs against a plane rule of about 1.1e6 nodes: assembly
     memory is set by the offset table and its node batches, not by N x Q."""
     mesh = build_mesh(unit_square, 1.0 / 16.0, "P0")
-    A = assemble_mesh_matrix(single_layer(5.0), mesh, tol=1e-10)
+    A = assemble(single_layer(5.0), mesh, tol=1e-10)
     assert A.shape == (256, 256)
     assert np.all(np.isfinite(A))
     assert np.array_equal(A, A.T)
@@ -549,3 +566,33 @@ def test_family_must_have_one_kind_and_h_per_axis():
         assemble(single_layer(2.0), [box, (AxisFactor("box", 0.75, 0.125),)])
     with pytest.raises(ValueError, match="share"):
         assemble(single_layer(2.0), [box], [(AxisFactor("hat", 0.5, 0.25),)])
+
+
+class TestPlaneGramExact:
+    """n=3 Gram matrices with closed forms: the symbol (k^2 + |xi|^2)^s at
+    s = 0 and s = 1 gives the mass and stiffness products of the 1-D hat
+    matrices M1 = h [2/3, 1/6] and K1 = [2/h, -1/h], and h^2 I on boxes.
+    Their tails run through the p = 0 and p = 2 branches of the tensor tail."""
+
+    @staticmethod
+    def _hat_1d(mesh, diag, off):
+        # per axis, the 1-D entry at offset 0, h or more
+        p = mesh.dof_points
+        j = np.rint(np.abs(p[:, None, :] - p[None, :, :]) / mesh.h)
+        return np.where(j == 0, diag, np.where(j == 1, off, 0.0)).transpose(2, 0, 1)
+
+    @pytest.mark.parametrize("h", [1 / 4, 1 / 2])
+    @pytest.mark.parametrize("s, k", [(0.0, 2.0), (1.0, 2.0), (1.0, 5.0)])
+    def test_p1_gram(self, unit_square, h, s, k):
+        mesh = build_mesh(unit_square, h, "P1")
+        mx, my = self._hat_1d(mesh, 2 * h / 3, h / 6)
+        kx, ky = self._hat_1d(mesh, 2 / h, -1 / h)
+        exact = mx * my if s == 0.0 else k * k * mx * my + kx * my + mx * ky
+        G = assemble(bessel(k, s), mesh)
+        assert np.abs(G - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("h", [1 / 4, 1 / 2])
+    def test_p0_gram(self, unit_square, h):
+        mesh = build_mesh(unit_square, h, "P0")
+        G = assemble(bessel(2.0, 0.0), mesh)
+        assert np.abs(G - h * h * np.eye(mesh.n_dofs)).max() <= 1e-12 * h * h

@@ -3,10 +3,12 @@
 The case list covers the n=2 and n=3 engine paths that a change to the
 symbol engine must keep: interval P0 and P1 meshes, a Cantor prefractal,
 hat and derivative-of-hat families, a cross-family block, unit-square
-and dust screens, and four keying cases: a Cantor level whose rounded
-offsets split one lattice offset in two, a family off the h/2 lattice, a
-sparse lattice and an interval whose centres are off the lattice while its
-offsets are on it.  Run it at two checkouts and compare:
+and dust screens (among them the dust level 2 mesh of the ``dust-n3``
+workload and Bessel Grams whose plane tails take the p = 2 branch), an
+n=3 screen off the h/2 lattice, and four keying cases: a Cantor level
+whose rounded offsets split one lattice offset in two, a family off the
+h/2 lattice, a sparse lattice and an interval whose centres are off the
+lattice while its offsets are on it.  Run it at two checkouts and compare:
 
     PYTHONPATH=src python tools/matrix_cases.py dump OUT.npz
     python tools/matrix_cases.py compare A.npz B.npz
@@ -17,6 +19,11 @@ n_theta.  ``compare`` prints max|A - B| / max|A| per case, whether the plan
 values are equal and whether shared-family matrices are exactly symmetric
 on both sides.  It exits with status 1 when a case differs by more than
 1e-12 relative or a plan value differs.
+
+The plan resolves the offsets of a mesh, not where it sits, since the
+quadrature measures dof centres from the lowest support edge.  Against a
+checkout that measured them from 0, the interval [0.1, 1.1] therefore
+reports ``plan !=``: its rule is now that of [0, 1].
 """
 
 from __future__ import annotations
@@ -82,6 +89,16 @@ def _cases():
     case("dust level 1 P1 h=1/6 k=4 tol 1e-10: T", hypersingular(4.0), mesh(dust, 1 / 6, "P1"))
     case("unit square P1 h=1/6, first 6 dofs, k=2 tol 1e-8: T", hypersingular(2.0),
          mesh(square, 1 / 6, "P1")[:6], tol=1e-8)
+    dust2 = mesh(cantor_prefractal(3, 2, 1 / 3), 1 / 18, "P0")
+    case("dust level 2 P0 h=1/18 k=5 tol 1e-10: S", single_layer(5.0), dust2)
+    case("dust level 2 P0 h=1/18 k=5 tol 1e-10: G(-1/2)", bessel(5.0, -0.5), dust2)
+    for s, label in ((0.5, "1/2"), (1.0, "1")):
+        case(f"unit square P1 h=1/4 k=2 tol 1e-10: G({label})", bessel(2.0, s),
+             mesh_dof_factors(sq_p1))
+    r = np.sqrt(2.0) / 10
+    case("two rectangles off the h/2 lattice P0 h=1/4 k=2 tol 1e-9: S", single_layer(2.0),
+         mesh(make_screen(3, [((0.0, 0.0), (0.5, 0.5)), ((0.5 + r, 0.25), (1.0 + r, 0.75))]),
+              1 / 4, "P0"), tol=1e-9)
     # keying: a level whose rounded offsets split one lattice offset in two,
     # a family off the h/2 lattice, a lattice two screen parts far apart, and
     # an interval whose centres are off the lattice but whose offsets are on it
