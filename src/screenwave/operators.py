@@ -24,7 +24,7 @@ from scipy.special import hankel1, j0
 
 from .geometry import Mesh
 from .sobolev import GramMatrix, WaveContext, gram
-from .spectral import assemble, gradient_dof_factors, hypersingular, single_layer
+from .spectral import DofFamily, assemble, hypersingular, single_layer
 from .spectral.rules import gauss_panels, split_interval
 
 
@@ -97,8 +97,8 @@ def maue_oracle_hypersingular(mesh: Mesh, ctx: WaveContext,
     tol_h = max(tol / max(1.0, k * k), 1e-13)
     out = k * k * assemble(single_layer(k), mesh, tol=tol_h, variant=1)
     for axis in range(mesh.dim_screen):
-        dfac = gradient_dof_factors(mesh, axis)
-        out -= assemble(single_layer(k), dfac, tol=tol / 2.0, variant=1)
+        out -= assemble(single_layer(k), DofFamily.gradient(mesh, axis), tol=tol / 2.0,
+                        variant=1)
     return out
 
 

@@ -25,7 +25,7 @@ from .geometry import Mesh, Screen, build_mesh, dist_to_screen, distances_to_scr
 from .operators import (GalerkinSystem, assemble_hypersingular,
                         assemble_single_layer)
 from .sobolev import Density, WaveContext, rhs_functional
-from .spectral import mesh_axis_factor
+from .spectral import DofFamily
 from .spectral.engine import _TABLE_CELLS
 from .spectral.rules import gauss_legendre
 
@@ -378,8 +378,9 @@ def far_field(sol: Solution, directions) -> np.ndarray:
     for s in range(0, dirs.shape[0], step):
         surf[s:s + step] = np.exp(-1j * (xi[s:s + step] @ mesh.dof_points.T)) @ c
     surf *= (2.0 * np.pi) ** ((n - 1) / 2.0)
+    fam = DofFamily.of(mesh)
     for a in range(n - 1):
-        surf *= mesh_axis_factor(mesh).value(xi[:, a])
+        surf *= fam.factor(a).value(xi[:, a])
 
     pref = 1.0 / (4.0 * np.pi) if n == 3 else np.exp(1j * np.pi / 4.0) \
         / np.sqrt(8.0 * np.pi * k)

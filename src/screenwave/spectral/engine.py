@@ -7,11 +7,13 @@ Everything the operator and norm modules need reduces to integrals
 with sigma one of  i/(2Z)  (single layer),  (i/2) Z  (hypersingular) or
 (k^2+|xi|^2)^s  (Bessel weight), and fhat the closed-form basis transforms.
 
-A dof family has one factor kind and one h per axis, so fhat_i(xi) =
-prod_a b_a(xi_a) e^{-i c_ia xi_a} with c_i the dof centre.  Row and column
-families share each axis's kind, which makes P = prod_a b_a^row conj(b_a^col)
-real and even in every xi_a, and an entry a function of the per-axis centre
-offsets alone:
+A dof family, ``DofFamily``, has one factor kind and one h per axis, so
+fhat_i(xi) = prod_a b_a(xi_a) e^{-i c_ia xi_a} with c_i the dof centre.
+``assemble`` and ``build_quadrature`` take a family or a ``Mesh``, which
+stands for ``DofFamily.of(mesh)``, and both go through one
+``SymbolQuadrature``.  Row and column families share each axis's kind,
+which makes P = prod_a b_a^row conj(b_a^col) real and even in every xi_a,
+and an entry a function of the per-axis centre offsets alone:
 
     I(delta) = int sigma(|xi|) P(xi) prod_a cos(delta_a xi_a) d xi,
 
@@ -21,8 +23,9 @@ matrix from that table, so a shared family is complex-symmetric by
 construction.  On a lattice family (a mesh whose parts lie whole multiples
 of h/2 apart, wherever it sits) the offsets are the integers j = |i_r - i_c|
 in units of step = min(h)/2 and every key is evaluated at exactly j*step;
-other families key the offsets rounded to ``_KEY_DIGITS`` digits.  The finite region, |xi| <= X on the line and the
-square max|xi_a| <= X in the plane, is a cosine transform of a rule with
+other families key the offsets rounded to ``_KEY_DIGITS`` digits.  The
+finite region, |xi| <= X on the line and the square max|xi_a| <= X in the
+plane, is a cosine transform of a rule with
 singularity-removing radial substitutions, summed in node batches.  On the
 line it is factored: with j = a*B + b and B = ceil(sqrt(J + 1)),
 cos(j s xi) = cos(aBs xi) cos(bs xi) - sin(aBs xi) sin(bs xi), so every
@@ -100,83 +103,55 @@ def symbol_Z(xi, k: float):
     return np.where(diff >= 0.0, root + 0.0j, 1j * root)[()]
 
 
-def mesh_axis_factor(mesh: Mesh, center: float = 0.0) -> AxisFactor:
-    """The 1-D Fourier factor of a mesh basis function at one axis centre;
-    every axis of every dof of a uniform mesh shares its kind and h."""
-    return AxisFactor("box" if mesh.basis_kind == "P0" else "hat", float(center), mesh.h)
-
-
-def mesh_dof_factors(mesh: Mesh) -> list[tuple[AxisFactor, ...]]:
-    """Per-dof tuples of 1-D Fourier factors for a mesh."""
-    return [tuple(mesh_axis_factor(mesh, c) for c in p) for p in mesh.dof_points]
-
-
-def gradient_dof_factors(mesh: Mesh, axis: int) -> list[tuple[AxisFactor, ...]]:
-    """Factors of the axis-derivative of each P1 hat (piecewise constant)."""
-    if mesh.basis_kind != "P1":
-        raise ValueError("gradient factors are defined for P1 meshes only")
-    out = []
-    for p in mesh.dof_points:
-        fs = []
-        for a, c in enumerate(p):
-            fs.append(AxisFactor("dhat" if a == axis else "hat", float(c), mesh.h))
-        out.append(tuple(fs))
-    return out
-
-
-def basis_ft(factors, xi) -> np.ndarray:
-    """Evaluate a dof transform at xi (shape (..., d) or scalars for d=1)."""
-    if isinstance(factors, AxisFactor):
-        factors = (factors,)
-    xi = np.asarray(xi, dtype=float)
-    d = len(factors)
-    if d == 1:
-        return factors[0].value(xi)
-    comps = np.moveaxis(xi, -1, 0)
-    out = factors[0].value(comps[0])
-    for a in range(1, d):
-        out = out * factors[a].value(comps[a])
-    return out
-
-
 @dataclass(frozen=True)
-class _Family:
-    """A dof family read once: one factor kind and one h per axis, and an
-    (N, d) array of dof centres."""
+class DofFamily:
+    """A family of dof basis functions: one factor kind ("box", "hat" or
+    "dhat") and one h per axis, and an (N, d) array of dof centres, so that
+    fhat_i(xi) = prod_a b_a(xi_a) e^{-i c_ia xi_a}."""
 
     kinds: tuple[str, ...]
     h: tuple[float, ...]
     centers: np.ndarray
 
-    @classmethod
-    def of(cls, dofs) -> "_Family":
-        """The family of a mesh's own basis, or of a list of dof factor tuples."""
-        if isinstance(dofs, Mesh):
-            f = mesh_axis_factor(dofs)
-            d = dofs.dof_points.shape[1]
-            return cls((f.kind,) * d, (f.h,) * d, np.asarray(dofs.dof_points, dtype=float))
-        return cls.read(dofs)
+    def __post_init__(self):
+        c, d = self.centers, len(self.kinds)
+        if len(self.h) != d:
+            raise ValueError(f"a dof family needs one h per axis: {len(self.h)} for {d} kinds")
+        if not (isinstance(c, np.ndarray) and c.dtype == np.float64 and c.ndim == 2
+                and c.shape[0] >= 1 and c.shape[1] == d and np.all(np.isfinite(c))):
+            raise ValueError(f"dof centres must be a finite float (N, {d}) array with "
+                             f"N >= 1, not {getattr(c, 'dtype', type(c))} of shape "
+                             f"{np.shape(c)}")
 
     @classmethod
-    def read(cls, dofs) -> "_Family":
-        kinds, hs = [], []
-        for a in range(len(dofs[0])):
-            kh = {(dof[a].kind, dof[a].h) for dof in dofs}
-            if len(kh) != 1:
-                raise ValueError(f"dof family mixes factor kinds or h on axis {a}: "
-                                 f"{sorted(kh)}")
-            (kind, h), = kh
-            kinds.append(kind)
-            hs.append(h)
-        centers = np.array([[f.center for f in dof] for dof in dofs], dtype=float)
-        return cls(tuple(kinds), tuple(hs), centers)
+    def of(cls, mesh: Mesh) -> "DofFamily":
+        """The family of a mesh's own basis: boxes (P0) or hats (P1)."""
+        d = mesh.dof_points.shape[1]
+        kind = "box" if mesh.basis_kind == "P0" else "hat"
+        return cls((kind,) * d, (mesh.h,) * d, np.asarray(mesh.dof_points, dtype=float))
+
+    @classmethod
+    def gradient(cls, mesh: Mesh, axis: int) -> "DofFamily":
+        """The ``axis``-derivatives of the hats of a P1 mesh."""
+        if mesh.basis_kind != "P1":
+            raise ValueError("gradient families are defined for P1 meshes only")
+        hats = cls.of(mesh)
+        return cls(tuple("dhat" if a == axis else "hat" for a in range(hats.dim)), hats.h,
+                   hats.centers)
 
     @property
     def dim(self) -> int:
         return len(self.kinds)
 
-    def factor(self, axis: int, center: float = 0.0) -> AxisFactor:
-        return AxisFactor(self.kinds[axis], center, self.h[axis])
+    def factor(self, axis: int) -> AxisFactor:
+        """The 1-D factor of one axis at centre 0."""
+        return AxisFactor(self.kinds[axis], 0.0, self.h[axis])
+
+
+def mesh_dof_factors(mesh: Mesh) -> DofFamily:
+    """``DofFamily.of(mesh)``, kept only for the accuracy check of the
+    benchmark workloads in ``perfbench/workloads.py``."""
+    return DofFamily.of(mesh)
 
 
 @dataclass(frozen=True)
@@ -316,7 +291,7 @@ def _cosine_transform(xi: np.ndarray, r: np.ndarray, hi: np.ndarray, lo: np.ndar
     return acc.reshape(hi.size, n_col, lo.size).transpose(1, 0, 2).reshape(n_col, -1)
 
 
-def _family_constants(fam: _Family) -> tuple[list[int], list[float]]:
+def _family_constants(fam: DofFamily) -> tuple[list[int], list[float]]:
     """Per axis, the decay order p and amplitude sum |a_t| of the large-|xi|
     form, which depend only on kind and h."""
     q, amp = [], []
@@ -327,7 +302,7 @@ def _family_constants(fam: _Family) -> tuple[list[int], list[float]]:
     return q, amp
 
 
-def _largest_frequency(*fams: _Family) -> float:
+def _largest_frequency(*fams: DofFamily) -> float:
     """The largest term frequency |w_t| = |const_t - c| over the dofs of all
     families, with centres c measured from their lowest support edge on each
     axis: the largest extent of their supports.  It depends on the offsets
@@ -342,11 +317,11 @@ def _largest_frequency(*fams: _Family) -> float:
     return extent
 
 
-def _abs_estimate(fam: _Family, axis: int) -> float:
+def _abs_estimate(fam: DofFamily, axis: int) -> float:
     """Envelope of int_R |f| over one axis factor of a family, for the other
-    axis of an n=3 tail model.  It is taken on the first dof's factor: the
-    centre enters |f| only through the rounding of its unit-modulus phase."""
-    f = fam.factor(axis, float(fam.centers[0, axis]))
+    axis of an n=3 tail model.  It is taken at centre 0, where the phase is 1
+    exactly: every family with the axis's kind and h reads the same value."""
+    f = fam.factor(axis)
     xi, w = gauss_panels(split_interval(0.0, 60.0 / f.h, 0.5), 8)
     return 2.0 * float(np.sum(w * np.abs(f.value(xi)))) + 0.1 * f.h
 
@@ -371,11 +346,12 @@ class SymbolQuadrature:
     offset tables its matrix entries are gathered from.
 
     The only code that checks integrability, picks X and the rule, chooses
-    the series order and certifies the tail bound.  ``assemble``,
-    ``build_quadrature`` and ``symbol_integral`` all go through one.
+    the series order and certifies the tail bound.  ``assemble`` and
+    ``build_quadrature`` both go through one; one entry is
+    ``matrix([i], [j])[0, 0]``.
     """
 
-    def __init__(self, kind: SymbolKind, rows: _Family, cols: _Family, tol: float,
+    def __init__(self, kind: SymbolKind, rows: DofFamily, cols: DofFamily, tol: float,
                  variant: int = 0):
         if tol <= 0:
             raise ValueError("tolerance must be positive")
@@ -600,28 +576,30 @@ def _corner_rule(kind, k, X, omega, order, scale):
 # ---------------------------------------------------------------------------
 # public API
 # ---------------------------------------------------------------------------
+def _family(dofs) -> DofFamily:
+    if isinstance(dofs, Mesh):
+        return DofFamily.of(dofs)
+    if not isinstance(dofs, DofFamily):
+        raise TypeError(f"expected a Mesh or a DofFamily, not {type(dofs).__name__}")
+    return dofs
+
+
 def assemble(kind: SymbolKind, dofs_row, dofs_col=None, tol: float = 1e-10,
              variant: int = 0) -> np.ndarray:
-    """Matrix of symbol integrals for two dof families (shared if col=None),
-    each a list of dof factor tuples or a ``Mesh`` for its own basis."""
-    rows = _Family.of(dofs_row)
-    cols = rows if dofs_col is None else _Family.of(dofs_col)
+    """Matrix of symbol integrals between two dof families (shared if
+    ``dofs_col`` is None), each a ``DofFamily`` or a ``Mesh`` for its own
+    basis."""
+    rows = _family(dofs_row)
+    cols = rows if dofs_col is None else _family(dofs_col)
     return SymbolQuadrature(kind, rows, cols, tol, variant).matrix()
 
 
-def build_quadrature(kind: SymbolKind, mesh: Mesh, tol: float = 1e-10,
+def build_quadrature(kind: SymbolKind, dofs, tol: float = 1e-10,
                      variant: int = 0) -> SymbolQuadrature:
-    """Validate integrability and prebuild the rule + tail plan for a mesh."""
-    dofs = _Family.of(mesh)
-    return SymbolQuadrature(kind, dofs, dofs, tol, variant)
-
-
-def symbol_integral(kind: SymbolKind, i: int, j: int,
-                    quad: SymbolQuadrature) -> complex:
-    """One entry int sigma fhat_i conj(fhat_j) using a prebuilt rule."""
-    if kind != quad.kind:
-        raise ValueError("symbol kind does not match the prebuilt quadrature")
-    return complex(quad.matrix([i], [j])[0, 0])
+    """Validate integrability and prebuild the rule + tail plan for one
+    family, a ``DofFamily`` or a ``Mesh``, against itself."""
+    fam = _family(dofs)
+    return SymbolQuadrature(kind, fam, fam, tol, variant)
 
 
 # ---------------------------------------------------------------------------

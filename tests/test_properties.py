@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from screenwave import WaveContext, build_mesh, make_screen
 from screenwave.operators import kernel_oracle_single_layer
-from screenwave.spectral import assemble, mesh_dof_factors, single_layer
+from screenwave.spectral import assemble, single_layer
 
 H = 1.0 / 8.0
 TOL = 1e-9
@@ -27,7 +27,7 @@ def p0_screens(draw):
 
 def single_layer_matrix(boxes, k):
     mesh = build_mesh(make_screen(2, boxes), H, "P0")
-    return mesh, assemble(single_layer(k), mesh_dof_factors(mesh), tol=TOL)
+    return mesh, assemble(single_layer(k), mesh, tol=TOL)
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,6 +1,8 @@
+import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,19 +10,18 @@ import pytest
 from scipy.integrate import quad
 
 from screenwave import build_mesh, cantor_prefractal, make_screen
-from screenwave.spectral import (assemble, basis_ft,
-                                 bessel, build_quadrature, hypersingular,
-                                 mesh_dof_factors, single_layer,
-                                 symbol_integral, symbol_Z,
+from screenwave.spectral import (DofFamily, SymbolQuadrature, assemble, bessel,
+                                 build_quadrature, hypersingular, single_layer, symbol_Z,
                                  truncated_kernel_ft)
 from screenwave.spectral import tails
 from screenwave.spectral import engine
-from screenwave.spectral.engine import SymbolQuadrature, _axis_keys, _Family
+from screenwave.spectral.engine import _axis_keys
 from screenwave.spectral.factors import AxisFactor, pair_terms, snap_frequencies
 from screenwave.spectral.rules import gauss_legendre, gauss_panels
 from screenwave.spectral.tails import expint, halfline_osc_integral
 
 SQRT2PI = np.sqrt(2 * np.pi)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestSymbolZ:
@@ -48,28 +49,27 @@ class TestSymbolZ:
 class TestBasisFT:
     def test_p0_at_zero(self):
         f = AxisFactor("box", 0.0, 1.0)
-        assert basis_ft(f, 0.0) == pytest.approx(1.0 / SQRT2PI)
+        assert f.value(0.0) == pytest.approx(1.0 / SQRT2PI)
 
     def test_p0_sinc_zero(self):
         f = AxisFactor("box", 0.0, 1.0)
-        assert abs(basis_ft(f, 2 * np.pi)) < 1e-15
+        assert abs(f.value(2 * np.pi)) < 1e-15
 
     def test_p1_hat_area(self):
         f = AxisFactor("hat", 0.0, 1.0)
-        assert basis_ft(f, 0.0) == pytest.approx(1.0 / SQRT2PI)
+        assert f.value(0.0) == pytest.approx(1.0 / SQRT2PI)
 
     def test_conjugate_symmetry(self):
         f = AxisFactor("box", 0.37, 0.25)
         xi = np.linspace(-30, 30, 101)
-        v = basis_ft(f, xi)
+        v = f.value(xi)
         assert np.allclose(v[::-1], np.conj(v), atol=1e-15)
 
     def test_zero_frequency_is_area(self):
         mesh = build_mesh(make_screen(3, [((0, 0), (1, 1))]), 0.25, "P0")
-        fac = mesh_dof_factors(mesh)[0]
-        area = mesh.h ** 2
-        assert basis_ft(fac, np.array([[0.0, 0.0]]))[0] == pytest.approx(
-            area / (2 * np.pi))
+        (x, y), area = mesh.dof_points[0], mesh.h ** 2
+        value = AxisFactor("box", x, mesh.h).value(0.0) * AxisFactor("box", y, mesh.h).value(0.0)
+        assert value == pytest.approx(area / (2 * np.pi))
 
     def test_exp_terms_match_direct(self):
         for kind in ("box", "hat", "dhat"):
@@ -119,7 +119,7 @@ class TestBuildQuadrature:
 
     def test_parseval_gram(self, p0_mesh8):
         quad_ = build_quadrature(bessel(2.0, 0.0), p0_mesh8, tol=1e-10)
-        g00 = symbol_integral(bessel(2.0, 0.0), 0, 0, quad_)
+        g00 = quad_.matrix([0], [0])[0, 0]
         assert g00 == pytest.approx(p0_mesh8.h, abs=1e-10)
 
     def test_refinement_self_consistency(self, p0_mesh8):
@@ -152,17 +152,38 @@ class TestBuildQuadrature:
         assert np.array_equal(assemble(kind, build_mesh(moved, 1 / 4, "P0")),
                               assemble(kind, build_mesh(unit_square, 1 / 4, "P0")))
 
+    def test_translated_square_one_batch_of_axis_tables(self, unit_square, monkeypatch):
+        """The other-axis envelope is taken at centre 0, so both axes of the
+        square moved to (5, -3) read the unit square's value and share one
+        batch of axis tables."""
+        kind = single_layer(2.0)
+        moved = make_screen(3, [((5.0, -3.0), (6.0, -2.0))])
+        quad = build_quadrature(kind, build_mesh(moved, 1 / 4, "P0"))
+        assert quad.other_abs[0] == quad.other_abs[1]
+        unit = build_quadrature(kind, build_mesh(unit_square, 1 / 4, "P0"))
+        assert quad.other_abs == unit.other_abs
+        calls = []
+        axis_tables = SymbolQuadrature._axis_tables
+
+        def counted(self, axis, keys):
+            calls.append(axis)
+            return axis_tables(self, axis, keys)
+
+        monkeypatch.setattr(SymbolQuadrature, "_axis_tables", counted)
+        quad.matrix()
+        assert calls == [0]
+
 
 class TestSymbolIntegral:
     def test_parseval_unit_element(self):
         mesh = build_mesh(make_screen(2, [(0.0, 1.0)]), 1.0, "P0")
         quad_ = build_quadrature(bessel(1.0, 0.0), mesh, tol=1e-12)
-        val = symbol_integral(bessel(1.0, 0.0), 0, 0, quad_)
+        val = quad_.matrix([0], [0])[0, 0]
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_supports_orthogonal(self, p0_mesh8):
         quad_ = build_quadrature(bessel(3.0, 0.0), p0_mesh8, tol=1e-11)
-        assert abs(symbol_integral(bessel(3.0, 0.0), 0, 5, quad_)) < 1e-11
+        assert abs(quad_.matrix([0], [5])[0, 0]) < 1e-11
 
     def test_single_layer_vs_brute_force(self):
         """Single element (0,1), k=1: independent real-line quadrature."""
@@ -188,8 +209,8 @@ class TestSymbolIntegral:
     def test_entry_symmetry_under_index_swap(self, p0_mesh8):
         kind = single_layer(4.0)
         quad_ = build_quadrature(kind, p0_mesh8, tol=1e-10)
-        a = symbol_integral(kind, 1, 6, quad_)
-        b = symbol_integral(kind, 6, 1, quad_)
+        a = quad_.matrix([1], [6])[0, 0]
+        b = quad_.matrix([6], [1])[0, 0]
         assert abs(a - b) < 1e-12
 
     def test_sign_structure_single_layer(self, p0_mesh8, rng):
@@ -208,8 +229,7 @@ class TestSymbolIntegral:
 
     def test_cross_family_assembly(self, p0_mesh8):
         fine = build_mesh(p0_mesh8.screen, p0_mesh8.h / 2, "P0")
-        C = assemble(single_layer(3.0), mesh_dof_factors(fine),
-                     mesh_dof_factors(p0_mesh8), tol=1e-9)
+        C = assemble(single_layer(3.0), fine, p0_mesh8, tol=1e-9)
         # prolongation consistency: coarse self-pairing equals summed cross rows
         A = assemble(single_layer(3.0), p0_mesh8, tol=1e-9)
         P = np.zeros((fine.n_dofs, p0_mesh8.n_dofs))
@@ -291,8 +311,7 @@ class TestExpint:
 
 
 def _line_plan(kind, rows, cols=None, tol=1e-10):
-    fam = _Family.read(rows)
-    return SymbolQuadrature(kind, fam, fam if cols is None else _Family.read(cols), tol)
+    return SymbolQuadrature(kind, rows, rows if cols is None else cols, tol)
 
 
 def _line_keys(quad):
@@ -306,7 +325,8 @@ def _per_key_tails(quad, deltas):
     one half-line integral per (order, term)."""
     out = []
     for d in deltas:
-        q, c, wf, wg = pair_terms(quad.rows.factor(0, float(d)), quad.cols.factor(0))
+        f = AxisFactor(quad.rows.kinds[0], float(d), quad.rows.h[0])
+        q, c, wf, wg = pair_terms(f, quad.cols.factor(0))
         merged = {}
         for ct, nu in zip(c, snap_frequencies(wf - wg, wf, wg)):
             merged[nu] = merged.get(nu, 0.0) + ct
@@ -318,15 +338,15 @@ def _per_key_tails(quad, deltas):
 
 
 def _line_mesh(h, kind):
-    return mesh_dof_factors(build_mesh(make_screen(2, [(0.0, 1.0)]), h, kind))
+    return DofFamily.of(build_mesh(make_screen(2, [(0.0, 1.0)]), h, kind))
 
 
 def _cantor_mesh(level, h):
-    return mesh_dof_factors(build_mesh(cantor_prefractal(2, level, 1 / 3), h, "P0"))
+    return DofFamily.of(build_mesh(cantor_prefractal(2, level, 1 / 3), h, "P0"))
 
 
 def _parts_mesh(parts, h):
-    return mesh_dof_factors(build_mesh(make_screen(2, parts), h, "P0"))
+    return DofFamily.of(build_mesh(make_screen(2, parts), h, "P0"))
 
 
 _SHIFT = 0.3 + np.sqrt(2.0) / 10
@@ -432,15 +452,25 @@ class TestOffsetKeys:
 
     @pytest.mark.parametrize("n, kind", [(2, "P0"), (2, "P1"), (3, "P0"), (3, "P1")])
     def test_family_from_mesh(self, n, kind):
+        """``DofFamily.of`` and ``DofFamily.gradient``: one kind and h per
+        axis and the mesh's dof points as centres."""
         screen = make_screen(2, [(0.0, 1.0)]) if n == 2 else \
             make_screen(3, [((0.0, 0.0), (1.0, 0.5))])
         mesh = build_mesh(screen, 1 / 8, kind)
-        direct, read = _Family.of(mesh), _Family.read(mesh_dof_factors(mesh))
-        assert (direct.kinds, direct.h) == (read.kinds, read.h)
-        assert np.array_equal(direct.centers, read.centers)
-        if n == 2:
-            symbol = single_layer(5.0) if kind == "P0" else hypersingular(5.0)
-            assert np.array_equal(assemble(symbol, mesh), assemble(symbol, mesh_dof_factors(mesh)))
+        d = n - 1
+        fam = DofFamily.of(mesh)
+        assert fam.kinds == ("box" if kind == "P0" else "hat",) * d
+        assert fam.h == (mesh.h,) * d
+        assert np.array_equal(fam.centers, mesh.dof_points)
+        if kind == "P0":
+            with pytest.raises(ValueError, match="P1"):
+                DofFamily.gradient(mesh, 0)
+            return
+        expected = [("dhat",)] if d == 1 else [("dhat", "hat"), ("hat", "dhat")]
+        for axis, kinds in enumerate(expected):
+            grad = DofFamily.gradient(mesh, axis)
+            assert grad.kinds == kinds and grad.h == fam.h
+            assert np.array_equal(grad.centers, mesh.dof_points)
 
 
 class TestLineTailTable:
@@ -460,7 +490,7 @@ class TestLineTailTable:
         is far from the DC value at a rounding-sized z."""
         h = 1 / 6
         centres = [h, 2 * h, 3 * h, 0.5 + 0.1 / np.pi, 5 * h]
-        dofs = [(AxisFactor("hat", c, h),) for c in centres]
+        dofs = DofFamily(("hat",), (h,), np.array(centres)[:, None])
         for kind in (hypersingular(4.0), bessel(4.0, -0.5), bessel(4.0, 1.45)):
             quad = _line_plan(kind, dofs)
             keys = _line_keys(quad)
@@ -517,16 +547,15 @@ class TestHistoryIndependence:
     def test_cantor_assembly_bit_identical_after_other_k(self):
         # a fresh process against one that assembled another k first
         mesh = build_mesh(cantor_prefractal(2, 3, 1 / 3), 3.0 ** -3 / 8, "P0")
-        dofs = mesh_dof_factors(mesh)
-        assemble(single_layer(29.0), dofs, tol=1e-9)
-        after = assemble(single_layer(27.0), dofs, tol=1e-9)
+        assemble(single_layer(29.0), mesh, tol=1e-9)
+        after = assemble(single_layer(27.0), mesh, tol=1e-9)
         code = ("import sys, numpy as np\n"
                 "from screenwave import build_mesh, cantor_prefractal\n"
-                "from screenwave.spectral import assemble, mesh_dof_factors, single_layer\n"
+                "from screenwave.spectral import assemble, single_layer\n"
                 "mesh = build_mesh(cantor_prefractal(2, 3, 1 / 3), 3.0 ** -3 / 8, 'P0')\n"
-                "A = assemble(single_layer(27.0), mesh_dof_factors(mesh), tol=1e-9)\n"
+                "A = assemble(single_layer(27.0), mesh, tol=1e-9)\n"
                 "sys.stdout.buffer.write(A.tobytes())\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        src = str(ROOT / "src")
         fresh = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                check=True, env={**os.environ, "PYTHONPATH": src}).stdout
         assert np.array_equal(np.frombuffer(fresh, dtype=complex).reshape(after.shape),
@@ -537,8 +566,9 @@ def test_n3_p1_off_dyadic_block(rng):
     """h = 1/6 puts hat centres off the binary lattice; equal frequencies then
     differ by rounding and must merge into the DC term for the axis tails."""
     mesh = build_mesh(make_screen(3, [((0.0, 0.0), (1.0, 1.0))]), 1.0 / 6.0, "P1")
-    rows = mesh_dof_factors(mesh)[:6]
-    B = assemble(hypersingular(2.0), rows, list(rows), tol=1e-8)
+    fam = DofFamily.of(mesh)
+    rows = replace(fam, centers=fam.centers[:6])
+    B = assemble(hypersingular(2.0), rows, rows, tol=1e-8)
     assert np.all(np.isfinite(B))
     assert np.abs(B - B.T).max() <= 1e-10 * np.abs(B).max()
     c = rng.standard_normal(6)
@@ -561,11 +591,21 @@ def test_n3_square_p0_h16_assembles(unit_square, rng):
 
 
 def test_family_must_have_one_kind_and_h_per_axis():
-    box = (AxisFactor("box", 0.5, 0.25),)
-    with pytest.raises(ValueError, match="mixes"):
-        assemble(single_layer(2.0), [box, (AxisFactor("box", 0.75, 0.125),)])
+    for h, centers in [((0.25, 0.25), np.array([[0.5]])),     # one h per kind
+                       ((0.25,), np.array([[0.5, 0.75]])),    # an extra centre column
+                       ((0.25,), np.array([0.5])),            # not (N, d)
+                       ((0.25,), np.zeros((0, 1))),           # no dof
+                       ((0.25,), np.array([[1]])),            # not float
+                       ((0.25,), [[0.5]]),                    # not an array
+                       ((0.25,), np.array([[np.nan]])),
+                       ((0.25,), np.array([[np.inf]]))]:
+        with pytest.raises(ValueError):
+            DofFamily(("box",), h, centers)
+    box = DofFamily(("box",), (0.25,), np.array([[0.5]]))
     with pytest.raises(ValueError, match="share"):
-        assemble(single_layer(2.0), [box], [(AxisFactor("hat", 0.5, 0.25),)])
+        assemble(single_layer(2.0), box, DofFamily(("hat",), (0.25,), np.array([[0.5]])))
+    with pytest.raises(TypeError, match="DofFamily"):
+        assemble(single_layer(2.0), [(AxisFactor("box", 0.5, 0.25),)])
 
 
 class TestPlaneGramExact:
@@ -596,3 +636,24 @@ class TestPlaneGramExact:
         mesh = build_mesh(unit_square, h, "P0")
         G = assemble(bessel(2.0, 0.0), mesh)
         assert np.abs(G - h * h * np.eye(mesh.n_dofs)).max() <= 1e-12 * h * h
+
+
+def test_matrix_cases_build_families_without_plans(monkeypatch):
+    """``tools/matrix_cases.py`` builds its case list through the library
+    API: 33 uniquely named cases of ``DofFamily`` rows and columns with
+    matching kinds, and no quadrature plan until ``dump``."""
+    spec = importlib.util.spec_from_file_location("matrix_cases",
+                                                  ROOT / "tools" / "matrix_cases.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("the case list built a plan")
+
+    monkeypatch.setattr(SymbolQuadrature, "__init__", no_plan)
+    cases = tool._cases()
+    names = [case[0] for case in cases]
+    assert len(names) == len(set(names)) == 33
+    for _, _, rows, cols, _, _ in cases:
+        assert isinstance(rows, DofFamily)
+        assert cols is None or (isinstance(cols, DofFamily) and cols.kinds == rows.kinds)
