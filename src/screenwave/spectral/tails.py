@@ -41,6 +41,8 @@ from .rules import gauss_panels
 # the series loses ~e^{|z|} ulps to cancellation; 1 keeps it below 6e-16
 _SERIES_RADIUS = 1.0
 _CF_EPS = 8.0 * float(np.finfo(np.longdouble).eps)
+_CF_CELLS = 1024     # argument-iterations per continued-fraction convergence test
+_CF_CHUNK = 2048     # arguments per continued-fraction batch
 
 
 class QuadratureError(RuntimeError):
@@ -59,6 +61,8 @@ def _order_terms(m: float) -> tuple[float, float, float]:
     """
     n = max(1.0, math.floor(m + 0.5))
     e = m - n
+    if e == 0.0:            # the series below: every term is 0 * zeta
+        return n, e, -digamma(n)
     if abs(e) >= 0.25:
         return n, e, (gammaln(1.0 - e)
                       - sum(math.log1p(e / j) for j in range(1, int(n)))) / e
@@ -69,7 +73,7 @@ def _order_terms(m: float) -> tuple[float, float, float]:
     return n, e, g
 
 
-def _expint_series(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _expint_series(m: np.ndarray, z: np.ndarray, maxterms: int = 400) -> np.ndarray:
     """E_m(z) by the DLMF 8.19.8/8.19.10 power series (good for |z| < ~1).
 
     With n, e and g from ``_order_terms``,
@@ -83,7 +87,10 @@ def _expint_series(m: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     At e = 0 the quotient is log z - psi(n), which is 8.19.8 for integer m.
     The sum runs in the precision of m and z; n, e and g are doubles, whose
-    rounding is the same for every z of one order.
+    rounding is the same for every z of one order.  It stops at the first
+    k >= max(n) at which every |(-z)^k / k!| < 1e-22; the terms are rows of
+    one table, formed and summed in order of k by ``accumulate`` calls.
+    Raises ``QuadratureError`` when that takes more than ``maxterms`` terms.
     """
     orders, inverse = np.unique(m, return_inverse=True)
     n, e, g = np.array([_order_terms(float(v)) for v in orders])[inverse.reshape(-1)].T
@@ -91,51 +98,121 @@ def _expint_series(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     safe_e = np.where(e == 0.0, 1.0, e)
     ratio = np.where(e == 0.0, logz + g, np.expm1(e * (logz + g)) / safe_e)
 
-    term = np.ones_like(z)            # (-z)^k / k!
-    pole = np.zeros_like(z)           # (-z)^{n-1} / (n-1)!
-    total = np.zeros_like(z)
-    k = 0
-    while True:
-        at_pole = k == n - 1.0
-        pole = np.where(at_pole, term, pole)
-        total = total + np.where(at_pole, 0.0, term / np.where(at_pole, 1.0, k + 1.0 - m))
-        k += 1
-        term = term * (-z / k)
-        if k >= n.max() and np.max(np.abs(term)) < 1e-22:
-            return -pole * ratio - total
+    # rows to form: past max(n) and past where the bound |z|^k / k! on the
+    # terms falls a decade below the stopping threshold
+    r, n_max = float(np.abs(z).max()), n.max()
+    K, bound = 1, r
+    while (K < n_max or bound >= 1e-23) and K <= maxterms:
+        K += 1
+        bound *= r / K
+    terms = np.empty((K + 1, z.size), dtype=z.dtype)     # (-z)^k / k!
+    terms[0] = 1.0
+    np.divide(-z, np.arange(1, K + 1)[:, None], out=terms[1:])
+    np.multiply.accumulate(terms, axis=0, out=terms)
+    small = np.abs(terms[1:]).max(axis=1) < 1e-22
+    stops = np.flatnonzero(small & (np.arange(1, K + 1) >= n_max)) + 1
+    if K > maxterms or not stops.size:
+        worst = np.abs(z).argmax() if r >= 1.0 else n.argmax()
+        raise QuadratureError(
+            f"E_m power series: more than {maxterms} terms "
+            f"(worst |z| = {float(abs(z[worst])):.6g}, m = {float(m[worst]):.6g})")
+    stop = stops[0]
+    k = np.arange(stop)[:, None]
+    at_pole = k == n - 1.0
+    parts = np.zeros((stop + 1, z.size), dtype=z.dtype)
+    np.divide(terms[:stop], np.where(at_pole, 1.0, k + 1.0 - m), out=parts[1:])
+    parts[1:][at_pole] = 0.0
+    total = np.add.accumulate(parts, axis=0)[-1]
+    pole = terms[n.astype(int) - 1, np.arange(z.size)]      # (-z)^{n-1} / (n-1)!
+    return -pole * ratio - total
 
 
 def _expint_cf(m: np.ndarray, z: np.ndarray, maxiter: int = 400) -> np.ndarray:
     """E_m(z) by modified Lentz continued fraction (good for |z| >= ~1).
 
-    All arguments iterate together; each leaves the batch as it converges.
-    The iteration and its long-double result keep ~1e-19 relative: in double
-    its rounding leaves ~1e-14 at |z| = 1, which the near-cancelling profile
-    sums of P1 tails (fourth differences in nu) amplify a thousandfold.
+    The fractions of up to ``_CF_CHUNK`` arguments run together in
+    ``_lentz``; a larger batch is split by |z|, so that each chunk's
+    arguments need about as many iterations and its tables stay small.
+    e^{-z} is applied once at the end.  The iteration and its long-double
+    result keep ~1e-19 relative: in double its rounding leaves ~1e-14 at
+    |z| = 1, which the near-cancelling profile sums of P1 tails (fourth
+    differences in nu) amplify a thousandfold.
     """
+    if maxiter < 2:
+        raise ValueError("_expint_cf: maxiter must be at least 2")
     m = m.astype(np.longdouble)
     z = z.astype(np.clongdouble)
     out = np.empty(z.shape, dtype=np.clongdouble)
+    by_size = np.argsort(np.abs(z)) if z.size > _CF_CHUNK else np.arange(z.size)
+    for s in range(0, z.size, _CF_CHUNK):
+        chunk = by_size[s:s + _CF_CHUNK]
+        out[chunk] = _lentz(m[chunk], z[chunk], maxiter)
+    return out * np.exp(-z)
+
+
+def _lentz(m: np.ndarray, z: np.ndarray, maxiter: int) -> np.ndarray:
+    """e^z E_m(z) for long-double m and z by modified Lentz iteration.
+
+    All arguments iterate together, in place, in blocks of ``_CF_CELLS`` / n
+    iterations for n live arguments, clipped to 8..64, that keep each
+    argument's factors delta and running products h.
+    After a block, every argument whose |delta - 1| fell below ``_CF_EPS``
+    takes h from the first iteration at which it did, the value a test after
+    every iteration gives, and leaves the batch.  Raises ``QuadratureError``
+    when an argument has not converged after ``maxiter`` - 1 iterations.
+    """
+    out = np.empty(z.shape, dtype=np.clongdouble)
     idx = np.arange(z.size)
+    orders, of = np.unique(m - 1.0, return_inverse=True)    # few: a ladder's start orders
     b = z + m
     c = np.full(z.shape, 1e300, dtype=np.clongdouble)   # 1 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, maxiter):
-        a = -i * (m - 1.0 + i)
-        b = b + 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h = h * delta
-        done = np.abs(delta - 1.0) < _CF_EPS
-        out[idx[done]] = h[done] * np.exp(-z[done])
-        if done.all():
+    t = np.empty(z.shape, dtype=np.clongdouble)
+    # the coefficients are complex and 1 is an array: a real or a Python
+    # float operand makes every call cast, with bitwise the same result
+    one = np.ones((), dtype=np.clongdouble)
+    # |delta - 1| >= |Re delta - 1|: the modulus is taken only where Re delta
+    # lies between these bounds, which are exact in long double
+    lo, hi = 1.0 - np.longdouble(_CF_EPS), 1.0 + np.longdouble(_CF_EPS)
+    start = 1
+    while start < maxiter:
+        n = idx.size
+        r = min(max(8, min(64, _CF_CELLS // n)), maxiter - start)
+        its = np.arange(start, start + r, dtype=np.longdouble)[:, None]
+        a = (-its * (orders + its)).astype(np.clongdouble).take(of, axis=1)
+        # rows i: b_i = b_{i-1} + 2, delta_i and, after the test, h_i = h_{i-1} delta_i
+        bs = np.empty((r + 1, n), dtype=np.clongdouble)
+        bs[0], bs[1:] = b, 2.0
+        np.add.accumulate(bs, axis=0, out=bs)
+        hs = np.empty((r + 1, n), dtype=np.clongdouble)
+        hs[0] = h
+        for j in range(r):
+            np.multiply(a[j], d, out=t)
+            t += bs[j + 1]
+            np.divide(one, t, out=d)
+            np.divide(a[j], c, out=c)
+            c += bs[j + 1]
+            np.multiply(c, d, out=hs[j + 1])
+        deltas = hs[1:]
+        done = (deltas.real > lo) & (deltas.real < hi)
+        done[done] = np.abs(deltas[done] - one) < _CF_EPS
+        conv = done.any(axis=0)
+        live = ~conv
+        start += r
+        if start == maxiter and live.any():
+            worst = idx[live][np.abs(deltas[-1, live] - one).argmax()]
+            raise QuadratureError(
+                f"E_m continued fraction: {live.sum()} arguments unconverged after "
+                f"{maxiter - 1} iterations (worst |z| = {float(abs(z[worst])):.6g}, "
+                f"m = {float(m[worst]):.6g})")
+        np.multiply.accumulate(hs, axis=0, out=hs)
+        out[idx[conv]] = hs[done.argmax(axis=0)[conv] + 1, conv]
+        if not live.any():
             return out
-        live = ~done
-        idx, m, z, b, c, d, h = (x[live] for x in (idx, m, z, b, c, d, h))
-    out[idx] = h * np.exp(-z)
-    return out
+        h, b = hs[r, live], bs[r, live]
+        idx, of, c, d = (x[live] for x in (idx, of, c, d))
+        t = t[:idx.size]
 
 
 def _expint_ladder(m0: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
@@ -159,20 +236,26 @@ def _expint_ladder(m0: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
         orders = m0[near, None] + np.arange(n)
         zs = np.broadcast_to(z[near, None], orders.shape)
         out[near] = _expint_series(orders.ravel(), zs.ravel()).reshape(orders.shape)
-    far = ~near
-    if far.any():
+    far = np.flatnonzero(~near)
+    if far.size:
+        start = np.clip(np.rint(np.abs(z[far]) - m0[far]), 0, n - 1).astype(int)
+        # rows by start order: those that recur at order j are a prefix (up)
+        # or a suffix (down), and each step is one slice
+        by_start = np.argsort(start, kind="stable")
+        far, start = far[by_start], start[by_start]
         z = z[far]
         p = m0[far, None] + np.arange(n)
-        start = np.clip(np.rint(np.abs(z) - p[:, 0]), 0, n - 1).astype(int)
         ez = np.exp(-z)
         E = np.empty(p.shape, dtype=np.clongdouble)
         rows = np.arange(z.size)
         E[rows, start] = _expint_cf(p[rows, start], z)
+        p = p.astype(np.clongdouble)          # complex operands: no cast in every step
+        split = np.searchsorted(start, np.arange(n), side="right")   # rows with start <= j
         for j in range(n - 1):
-            up = start <= j
+            up = slice(0, split[j])
             E[up, j + 1] = (ez[up] - z[up] * E[up, j]) / p[up, j]
         for j in range(n - 2, -1, -1):
-            down = start > j
+            down = slice(split[j], None)
             E[down, j] = (ez[down] - p[down, j] * E[down, j + 1]) / z[down]
         out[far] = E
     return out

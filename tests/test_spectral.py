@@ -10,9 +10,9 @@ import pytest
 from scipy.integrate import quad
 
 from screenwave import build_mesh, cantor_prefractal, make_screen
-from screenwave.spectral import (DofFamily, SymbolQuadrature, assemble, bessel,
-                                 build_quadrature, hypersingular, single_layer, symbol_Z,
-                                 truncated_kernel_ft)
+from screenwave.spectral import (DofFamily, QuadratureError, SymbolQuadrature, assemble,
+                                 bessel, build_quadrature, hypersingular, single_layer,
+                                 symbol_Z, truncated_kernel_ft)
 from screenwave.spectral import tails
 from screenwave.spectral import engine
 from screenwave.spectral.engine import _axis_keys
@@ -128,7 +128,6 @@ class TestBuildQuadrature:
         assert np.abs(coarse - fine).max() < 1e-6
 
     def test_unreachable_tolerance_is_numerical_failure(self):
-        from screenwave.spectral import QuadratureError
         from screenwave.spectral.tails import required_axis_Y
 
         q, c, wf, wg = pair_terms(AxisFactor("dhat", 0.5, 0.25),
@@ -301,6 +300,113 @@ class TestExpint:
             ref = np.array([[complex(mp.expint(mp.mpf(m0) + j, mp.mpc(0.0, b.imag)))
                              for j in range(25)] for b in z])
             assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+    def test_ladder_independent_of_batch_order(self, monkeypatch):
+        """A permuted batch gives the same permutation of the result, bit for
+        bit: on both sides of |z| = 1, for nu of either sign, at integer and
+        non-integer start orders; also when the continued fractions run in
+        chunks sorted by |z|."""
+        rng = np.random.default_rng(5)
+        radii = np.concatenate([rng.uniform(0.05, 0.999, 40), rng.uniform(1.0, 2.0, 40),
+                                rng.uniform(2.0, 90.0, 80)])
+        z = -1j * radii * rng.choice([-1.0, 1.0], radii.size)
+        m0 = rng.choice([3.0, 1.0, 3.2, 2.6, 1.0 + 1e-3], radii.size)
+        perm = rng.permutation(z.size)
+        got = tails._expint_ladder(m0, z, 9)
+        assert np.array_equal(tails._expint_ladder(m0[perm], z[perm], 9), got[perm])
+        monkeypatch.setattr(tails, "_CF_CHUNK", 16)
+        assert np.array_equal(tails._expint_ladder(m0, z, 9), got)
+        assert np.array_equal(tails._expint_ladder(m0[perm], z[perm], 9), got[perm])
+
+    def test_kernels_match_reference_loops(self):
+        """The blocked continued fraction and the tabled power series give,
+        bit for bit, what a test after every Lentz iteration and a term-by-
+        term series loop give."""
+        def cf_loop(m, z, maxiter=400):
+            m, z = m.astype(np.longdouble), z.astype(np.clongdouble)
+            out = np.empty(z.shape, dtype=np.clongdouble)
+            idx = np.arange(z.size)
+            b = z + m
+            c = np.full(z.shape, 1e300, dtype=np.clongdouble)
+            d = 1.0 / b
+            h = d
+            for i in range(1, maxiter):
+                a = -i * (m - 1.0 + i)
+                b = b + 2.0
+                d = 1.0 / (a * d + b)
+                c = b + a / c
+                delta = c * d
+                h = h * delta
+                done = np.abs(delta - 1.0) < tails._CF_EPS
+                out[idx[done]] = h[done] * np.exp(-z[done])
+                live = ~done
+                idx, m, z, b, c, d, h = (x[live] for x in (idx, m, z, b, c, d, h))
+                if not idx.size:
+                    return out
+
+        def series_loop(m, z):
+            n, e, g = np.array([tails._order_terms(float(v)) for v in m]).T
+            ratio = np.where(e == 0.0, np.log(z) + g,
+                             np.expm1(e * (np.log(z) + g)) / np.where(e == 0.0, 1.0, e))
+            term, pole, total, k = np.ones_like(z), np.zeros_like(z), np.zeros_like(z), 0
+            while True:
+                at_pole = k == n - 1.0
+                pole = np.where(at_pole, term, pole)
+                total = total + np.where(at_pole, 0.0,
+                                         term / np.where(at_pole, 1.0, k + 1.0 - m))
+                k += 1
+                term = term * (-z / k)
+                if k >= n.max() and np.max(np.abs(term)) < 1e-22:
+                    return -pole * ratio - total
+
+        rng = np.random.default_rng(11)
+        m = rng.choice([1.0, 3.0, 3.2, 2.6, 1.0 + 1e-3, 7.5, 24.0], 300).astype(np.longdouble)
+        z = -1j * rng.uniform(1.0, 90.0, 300) * rng.choice([-1.0, 1.0], 300)
+        z = z.astype(np.clongdouble)
+        assert np.array_equal(tails._expint_cf(m, z), cf_loop(m, z))
+        z = (z / 90.0 * rng.uniform(0.0, 1.0, 300)).astype(np.clongdouble)
+        assert np.array_equal(tails._expint_series(m, z), series_loop(m, z))
+
+    def test_order_terms_integer_orders_exact(self):
+        from scipy.special import digamma
+
+        for n in range(1, 42):
+            assert tails._order_terms(float(n)) == (float(n), 0.0, -digamma(float(n)))
+
+    def test_order_terms_non_integer_orders(self):
+        """Off the integers, (n, e, g) from the log-gamma quotient (|e| >= 1/4)
+        or its series in e, as written out here."""
+        from math import floor, log1p
+
+        from scipy.special import digamma, gammaln, zeta
+
+        def reference(m):
+            n = max(1.0, floor(m + 0.5))
+            e = m - n
+            if abs(e) >= 0.25:
+                return n, e, (gammaln(1.0 - e) - sum(log1p(e / j) for j in range(1, int(n)))) / e
+            g, ek = -digamma(n), e
+            for k in range(2, 30):
+                g += (zeta(k, n) if k % 2 else 2.0 * zeta(k) - zeta(k, n)) * ek / k
+                ek *= e
+            return n, e, g
+
+        for n in range(1, 42):
+            for m in (n - 1e-3, n + 1e-3, n + 0.4):
+                assert tails._order_terms(m) == reference(m)
+
+    def test_unconverged_continued_fraction_raises(self):
+        m, z = np.array([3.0, 1.5]), np.array([-1.5j, 1.5j])
+        with pytest.raises(QuadratureError, match=r"continued fraction.*\|z\| = 1\.5"):
+            tails._expint_cf(m, z, maxiter=20)
+        assert np.all(np.isfinite(tails._expint_cf(m, z)))
+
+    def test_unconverged_power_series_raises(self):
+        m, z = np.array([3.0, 41.0]), np.array([-0.9j, 0.5j])
+        with pytest.raises(QuadratureError, match=r"power series.*m = 41"):
+            tails._expint_series(m, z, maxterms=20)
+        with pytest.raises(QuadratureError, match=r"power series.*\|z\| = 5"):
+            tails._expint_series(np.array([3.0]), np.array([5.0j]), maxterms=20)
 
     def test_divergent_dc_tail_raises(self):
         for m in (1.0, 0.5):
