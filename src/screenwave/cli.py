@@ -125,54 +125,24 @@ def _farfield_directions(n: int, count: int):
 # ---------------------------------------------------------------------------
 # command implementations; each returns (all_passed, lines)
 # ---------------------------------------------------------------------------
-def _cmd_solve(cfg, emit: Emitter):
+def _cmd_field(cfg, emit: Emitter):
+    """``solve`` (problems S, T) and ``aperture`` (problems H, I)."""
     from . import solver
 
+    command = cfg["command"]
+    prefix = "aperture_" if command == "aperture" else ""
+    letters = [p.removeprefix(prefix) for p in solver._PROBLEMS
+               if p.startswith("aperture_") == bool(prefix)]
+    letter = cfg.get("problem", letters[0])
+    if letter not in letters:
+        raise ValueError(f"{command} solves problem {' or '.join(letters)}, "
+                         f"not {letter}")
+    problem = prefix + letter
+    spec = solver._PROBLEMS[problem]
     screen = _screen_from_config(cfg)
     ctx = WaveContext(cfg["k"])
-    tol = cfg.get("tol", 1e-9)
-    problem = cfg.get("problem", "S")
-    role = "dirichlet" if problem == "S" else "neumann"
-    g = _incident_from_config(cfg, ctx, role, screen.dim_ambient)
-    fn = solver.solve_problem_S if problem == "S" else solver.solve_problem_T
-    sol = fn(screen, ctx, g, cfg["h"], tol)
-
-    mesh = sol.density.mesh
-    rows = [(j, *mesh.dof_points[j],
-             sol.density.coefficients[j].real, sol.density.coefficients[j].imag)
-            for j in range(mesh.n_dofs)]
-    coord_cols = ["x"] if mesh.dim_screen == 1 else ["x", "y"]
-    emit.emit("density.csv", ["dof", *coord_cols, *_complex_cols("c")], rows)
-
-    pts = np.asarray(cfg.get("eval_points", _default_eval_points(screen)), float)
-    u = np.atleast_1d(solver.eval_field(sol, pts))
-    emit.emit("field.csv",
-              [*(f"x{i}" for i in range(pts.shape[1])), *_complex_cols("u")],
-              [(*p, v.real, v.imag) for p, v in zip(pts, u)])
-
-    dirs = _farfield_directions(screen.dim_ambient, cfg.get("farfield_count", 72))
-    ff = solver.far_field(sol, dirs)
-    emit.emit("farfield.csv",
-              [*(f"d{i}" for i in range(dirs.shape[1])), *_complex_cols("uinf")],
-              [(*d, v.real, v.imag) for d, v in zip(dirs, ff)])
-
-    res = sol.diagnostics["algebraic_residual"]
-    ok = res <= 1e-8 * max(np.linalg.norm(sol.rhs), 1.0)
-    return ok, [f"solve[{problem}]: N={mesh.n_dofs} algebraic residual "
-                f"{res:.3e} -> {'pass' if ok else 'FAIL'}"]
-
-
-def _cmd_aperture(cfg, emit: Emitter):
-    from . import solver
-
-    screen = _screen_from_config(cfg)
-    ctx = WaveContext(cfg["k"])
-    tol = cfg.get("tol", 1e-9)
-    problem = cfg.get("problem", "H")
-    role = "aperture_h" if problem == "H" else "aperture_i"
-    g = _incident_from_config(cfg, ctx, role, screen.dim_ambient)
-    fn = solver.solve_aperture_H if problem == "H" else solver.solve_aperture_I
-    sol = fn(screen, ctx, g, cfg["h"], tol)
+    g = _incident_from_config(cfg, ctx, spec.roles[0], screen.dim_ambient)
+    sol = solver._solve(problem, screen, ctx, g, cfg["h"], cfg.get("tol", 1e-9))
 
     mesh = sol.density.mesh
     coord_cols = ["x"] if mesh.dim_screen == 1 else ["x", "y"]
@@ -181,23 +151,37 @@ def _cmd_aperture(cfg, emit: Emitter):
                 sol.density.coefficients[j].imag) for j in range(mesh.n_dofs)])
 
     pts = np.asarray(cfg.get("eval_points", _default_eval_points(screen)), float)
-    mirror = pts.copy()
-    mirror[:, -1] *= -1.0
-    u_up = np.atleast_1d(solver.eval_field(sol, pts))
-    u_dn = np.atleast_1d(solver.eval_field(sol, mirror))
-    emit.emit("field.csv",
-              [*(f"x{i}" for i in range(pts.shape[1])), *_complex_cols("u"),
-               *_complex_cols("u_mirror")],
-              [(*p, a.real, a.imag, b.real, b.imag)
-               for p, a, b in zip(pts, u_up, u_dn)])
+    u = np.atleast_1d(solver.eval_field(sol, pts))
+    x_cols = [f"x{i}" for i in range(pts.shape[1])]
+    if spec.signed:
+        # the two-sided aperture field also goes out at the mirror points,
+        # where sign(x_n) makes it odd (single layer) or even (double layer)
+        mirror = pts.copy()
+        mirror[:, -1] *= -1.0
+        u_dn = np.atleast_1d(solver.eval_field(sol, mirror))
+        emit.emit("field.csv",
+                  [*x_cols, *_complex_cols("u"), *_complex_cols("u_mirror")],
+                  [(*p, a.real, a.imag, b.real, b.imag)
+                   for p, a, b in zip(pts, u, u_dn)])
+        parity, word = (-1.0, "odd") if spec.single else (1.0, "even")
+        gap = float(np.max(np.abs(u - parity * u_dn)))
+        scale = float(np.max(np.abs(u)))
+        ok = gap <= 1e-8 * max(scale, 1e-300)
+        return ok, [f"aperture[{letter}]: {word}-reflection gap {gap:.3e} "
+                    f"(scale {scale:.3e}) -> {'pass' if ok else 'FAIL'}"]
 
-    sign = 1.0 if problem == "H" else -1.0
-    gap = float(np.max(np.abs(u_up - sign * u_dn)))
-    scale = float(np.max(np.abs(u_up)))
-    ok = gap <= 1e-8 * max(scale, 1e-300)
-    word = "even" if problem == "H" else "odd"
-    return ok, [f"aperture[{problem}]: {word}-reflection gap {gap:.3e} "
-                f"(scale {scale:.3e}) -> {'pass' if ok else 'FAIL'}"]
+    emit.emit("field.csv", [*x_cols, *_complex_cols("u")],
+              [(*p, v.real, v.imag) for p, v in zip(pts, u)])
+    dirs = _farfield_directions(screen.dim_ambient, cfg.get("farfield_count", 72))
+    ff = solver.far_field(sol, dirs)
+    emit.emit("farfield.csv",
+              [*(f"d{i}" for i in range(dirs.shape[1])), *_complex_cols("uinf")],
+              [(*d, v.real, v.imag) for d, v in zip(dirs, ff)])
+
+    res = sol.diagnostics["algebraic_residual"]
+    ok = res <= 1e-8 * max(np.linalg.norm(sol.rhs), 1.0)
+    return ok, [f"solve[{letter}]: N={mesh.n_dofs} algebraic residual "
+                f"{res:.3e} -> {'pass' if ok else 'FAIL'}"]
 
 
 def _cmd_ksweep(cfg, emit: Emitter):
@@ -345,8 +329,8 @@ def _cmd_prefractal(cfg, emit: Emitter):
 
 
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "aperture": _cmd_aperture,
+    "solve": _cmd_field,
+    "aperture": _cmd_field,
     "ksweep": _cmd_ksweep,
     "coercivity": _cmd_coercivity,
     "sharpness": _cmd_sharpness,

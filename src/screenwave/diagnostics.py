@@ -26,7 +26,7 @@ import scipy.linalg as sla
 from .geometry import Mesh, Screen, build_mesh, cantor_prefractal
 from .operators import (GalerkinSystem, assemble_hypersingular,
                         assemble_single_layer)
-from .sobolev import WaveContext, discrete_dual_norm, gram
+from .sobolev import WaveContext, discrete_dual_norm
 from .solver import eval_field, far_field, solve_problem_S
 from .spectral import truncated_kernel_ft
 
@@ -148,7 +148,7 @@ def coercivity_scan_S(mesh: Mesh, ctx: WaveContext, sample_count: int = 1000,
     theoretical floor is 1/(2 sqrt 2), valid for every sample.
     """
     sys_ = system if system is not None else assemble_single_layer(mesh, ctx, tol)
-    G = sys_.gram_minus.entries
+    G = sys_.gram.entries
     rng = np.random.default_rng(seed)
     N = mesh.n_dofs
     structured = _structured_samples(mesh, ctx.k)
@@ -185,7 +185,7 @@ def coercivity_scan_T(screen: Screen, k_grid, sample_count: int = 200,
         ctx = WaveContext(float(k))
         mesh = mesh_for_wavenumber(screen, k, elements_per_wavelength, "P1")
         sys_ = assemble_hypersingular(mesh, ctx, tol)
-        G = sys_.gram_plus.entries
+        G = sys_.gram.entries
         N = mesh.n_dofs
         n_rand = max(sample_count - 24, 8)
         samples = list(rng.standard_normal((n_rand, N))
@@ -212,11 +212,10 @@ def continuity_estimate(system: GalerkinSystem) -> float:
     """Largest generalized singular value of the pairing matrix.
 
     Discrete surrogate of the operator norm (a lower bound of the continuous
-    one): Gram weights are (-1/2, -1/2) for the single-layer system and
-    (+1/2, +1/2) for the hypersingular one.
+    one), weighted on both sides by the system's energy-space Gram:
+    H^{-1/2}_k for the single-layer system, H^{+1/2}_k for the hypersingular.
     """
-    G = system.gram_minus if system.kind == "single_layer" else system.gram_plus
-    L = G.cholesky()
+    L = system.gram.cholesky()
     M = sla.solve_triangular(L, system.matrix, lower=True)
     M = sla.solve_triangular(L, M.conj().T, lower=True).conj().T
     return float(sla.svdvals(M)[0])
@@ -265,8 +264,8 @@ def sharpness_S(screen: Screen, k_grid, elements_per_wavelength: float = 10.0,
         pts = mesh.dof_points
         bump = _bump_values(pts, screen)
         c = np.exp(1j * k * pts[:, 0]) * bump
-        num = discrete_dual_norm(sys_.matrix @ c, sys_.gram_minus)
-        den = sys_.gram_minus.norm(c)
+        num = discrete_dual_norm(sys_.matrix @ c, sys_.gram)
+        den = sys_.gram.norm(c)
         ratios.append(num / den)
     ratios = np.asarray(ratios)
     slope, intercept, r2 = loglog_fit(k_grid, ratios)
@@ -296,8 +295,8 @@ def sharpness_T(screen: Screen, k_grid, h: float | None = None,
         sys_ = assemble_hypersingular(mesh, ctx, tol)
         # dual-norm surrogate of T_k psi in H^{-1/2}_k pairs against the
         # discrete H~^{1/2} space, hence the +1/2 Gram
-        num = discrete_dual_norm(sys_.matrix @ c, sys_.gram_plus)
-        den = sys_.gram_plus.norm(c)
+        num = discrete_dual_norm(sys_.matrix @ c, sys_.gram)
+        den = sys_.gram.norm(c)
         ratios.append(num / den)
     ratios = np.asarray(ratios)
     ok_upper = bool(np.all(ratios <= CONTINUITY_CONSTANT_T + 1e-6))
@@ -496,7 +495,7 @@ def nullity_advisor(descriptor: NullityDescriptor, s: float) -> NullityVerdict:
 def prefractal_convergence(n: int, ratio: float, level_grid, ctx: WaveContext,
                            incident_direction, observable: str = "far_field",
                            eval_point=None, elements_per_feature: int = 2,
-                           tol: float = 1e-9, seed: int = 0) -> SweepResult:
+                           tol: float = 1e-9) -> SweepResult:
     """Solve the sound-soft problem on each prefractal level and record
     observable differences between consecutive levels (trend reported, never
     asserted)."""

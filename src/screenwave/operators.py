@@ -30,9 +30,9 @@ from .spectral.rules import gauss_panels, split_interval
 
 @dataclass
 class GalerkinSystem:
-    """Pairing matrix with its wavenumber context and Gram companions.
+    """Pairing matrix with its wavenumber context and energy-space Gram.
 
-    The Gram matrices are built on first read: a solve never needs them.
+    The Gram matrix is built on first read: a solve never needs it.
     """
 
     kind: str                    # "single_layer" | "hypersingular"
@@ -42,16 +42,11 @@ class GalerkinSystem:
     tol: float
 
     @functools.cached_property
-    def gram_minus(self) -> GramMatrix:
-        """H^{-1/2}_k Gram matrix of the mesh basis."""
-        return gram(self.mesh, -0.5, self.ctx, tol=self.tol)
-
-    @functools.cached_property
-    def gram_plus(self) -> GramMatrix | None:
-        """H^{+1/2}_k Gram matrix (hypersingular systems only, else None)."""
-        if self.kind != "hypersingular":
-            return None
-        return gram(self.mesh, +0.5, self.ctx, tol=self.tol)
+    def gram(self) -> GramMatrix:
+        """Gram matrix of the energy space of the basis: H^{-1/2}_k for the
+        single-layer system, H^{+1/2}_k for the hypersingular one."""
+        s = -0.5 if self.kind == "single_layer" else 0.5
+        return gram(self.mesh, s, self.ctx, tol=self.tol)
 
     def quadratic_form(self, c: np.ndarray) -> complex:
         """a(phi_c, phi_c) with explicit conjugation of the test coefficients."""
@@ -131,8 +126,7 @@ def _log_weighted(fn, lo: float, hi: float, order: int = 12) -> complex:
     return complex(np.sum(w * np.log(t) * fn(t)))
 
 
-def kernel_oracle_single_layer(mesh: Mesh, ctx: WaveContext,
-                               tol: float = 1e-9) -> np.ndarray:
+def kernel_oracle_single_layer(mesh: Mesh, ctx: WaveContext) -> np.ndarray:
     """Spatial double integrals of the fundamental solution over element pairs.
 
     n=2 entries reduce exactly to 1-D integrals of (i/4)H0(k t) against the

@@ -38,24 +38,15 @@ class WaveContext:
 
 @dataclass
 class Density:
-    """Coefficient vector over a mesh basis, tagged with its energy space."""
+    """Coefficient vector over a mesh basis."""
 
     mesh: Mesh
     coefficients: np.ndarray
-    space_tag: str = ""
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=complex)
         if self.coefficients.shape != (self.mesh.n_dofs,):
             raise ValueError("Density: coefficient length does not match dof count")
-        expected = "Htilde(-1/2)" if self.mesh.basis_kind == "P0" else "Htilde(+1/2)"
-        if not self.space_tag:
-            self.space_tag = expected
-        elif self.space_tag != expected:
-            raise ValueError(
-                f"Density: space tag {self.space_tag} inconsistent with "
-                f"{self.mesh.basis_kind} basis"
-            )
 
 
 @dataclass
@@ -152,7 +143,7 @@ def _element_quadrature(mesh: Mesh, k: float, feature: float | None = None):
     return np.column_stack([ox.ravel(), oy.ravel()]), ww
 
 
-def rhs_functional(g, mesh: Mesh, ctx: WaveContext, tol: float = 1e-10) -> np.ndarray:
+def rhs_functional(g, mesh: Mesh, ctx: WaveContext) -> np.ndarray:
     """f_j = int_Gamma g(y) conj(basis_j(y)) ds(y), per-element Gauss.
 
     ``g`` is any object with ``sample(points) -> values`` (TraceData) or a
@@ -198,7 +189,7 @@ def _smoothstep_d(t: np.ndarray) -> np.ndarray:
 
 
 def cutoff_extension_norm(w_kind: str, screen: Screen, ctx: WaveContext,
-                          tol: float = 1e-8, direction=None, source=None) -> float:
+                          direction=None, source=None) -> float:
     """Computable upper bound for ||w||_{H^{1/2}_k(Gamma)}.
 
     Builds an explicit cutoff chi_L that is 1 on a hull of the screen (minus

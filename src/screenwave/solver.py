@@ -2,8 +2,9 @@
 
 The sound-soft screen reduces to the single-layer equation -S_k phi = g_D for
 the normal-derivative jump; the sound-hard screen to T_k psi = g_N for the
-field jump.  Aperture problems reuse the same equations with halved data and
-half-space sign bookkeeping at field-evaluation time.  Scattered fields are
+field jump.  Aperture problems reuse the same equations with halved data, and
+their fields take the factor sign(x_n).  ``_PROBLEMS`` holds these facts, one
+entry per problem, for the solve, the fields and the CLI.  Scattered fields are
 evaluated by per-element Gauss quadrature of the layer-potential kernels:
 blocks of points against blocks of quadrature nodes, each one kernel array
 (n=2: Hankel functions from the real-argument Bessel J and Y) contracted
@@ -16,6 +17,7 @@ one transform envelope, so the pattern is that envelope times one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -88,12 +90,6 @@ class TraceData:
             if self.kind == "plane_wave" and np.any(self.directions[:, -1] >= 0):
                 raise ValueError("aperture incidence must come from above (d_n < 0)")
 
-    def scaled(self, factor: complex) -> "TraceData":
-        out = TraceData(self.kind, self.role, self.k, self.amplitudes,
-                        self.directions, self.source, self.sampler,
-                        self.derivative, self.scale * factor)
-        return out
-
     def quad_scale(self, mesh: Mesh | None = None) -> float | None:
         """Smallest length scale of the data beyond the k-oscillation."""
         if self.kind == "point_source":
@@ -163,8 +159,26 @@ class Solution:
     problem: str                 # "S" | "T" | "aperture_H" | "aperture_I"
     ctx: WaveContext
     system: GalerkinSystem
-    rhs: np.ndarray
+    rhs: np.ndarray              # system.matrix @ coefficients = rhs
     diagnostics: dict = field(default_factory=dict)
+
+
+class _Problem(NamedTuple):
+    """What sets one problem apart from the other three."""
+
+    single: bool                 # -S_k phi = g on P0, else T_k psi = g on P1
+    roles: tuple                 # data roles accepted, the problem's own first
+    scale: float                 # the apertures solve with half their data
+    signed: bool                 # field and far field take the factor sign(x_n)
+    reflection: float | None     # reflected-wave coefficient of the total field
+
+
+_PROBLEMS = {
+    "S": _Problem(True, ("dirichlet", "aperture_i"), 1.0, False, None),
+    "T": _Problem(False, ("neumann", "aperture_h"), 1.0, False, None),
+    "aperture_H": _Problem(False, ("aperture_h", "neumann"), 0.5, True, -1.0),
+    "aperture_I": _Problem(True, ("aperture_i", "dirichlet"), 0.5, True, 1.0),
+}
 
 
 def _solve_dense(system: GalerkinSystem, rhs: np.ndarray) -> np.ndarray:
@@ -184,60 +198,52 @@ def _solve_dense(system: GalerkinSystem, rhs: np.ndarray) -> np.ndarray:
     return c
 
 
-def _check_point_source(g: TraceData, screen: Screen) -> None:
-    if g.kind == "point_source":
-        if dist_to_screen(g.source, screen) <= 0.0:
-            raise ValueError("point source lies on the screen closure")
+def _solve(problem: str, screen: Screen, ctx: WaveContext, g: TraceData,
+           h: float, tol: float, system: GalerkinSystem | None = None) -> Solution:
+    """Galerkin solution of one of the four problems, by its table entry."""
+    spec = _PROBLEMS[problem]
+    if g.role not in spec.roles:
+        raise ValueError(f"problem {problem} expects "
+                         f"{'Dirichlet' if spec.single else 'Neumann'}-role data "
+                         f"({' or '.join(spec.roles)}), not {g.role!r}")
+    if g.kind == "point_source" and dist_to_screen(g.source, screen) <= 0.0:
+        raise ValueError("point source lies on the screen closure")
+    if system is None:
+        assemble = assemble_single_layer if spec.single else assemble_hypersingular
+        system = assemble(build_mesh(screen, h, "P0" if spec.single else "P1"), ctx, tol)
+    rhs = (-spec.scale if spec.single else spec.scale) \
+        * rhs_functional(g, system.mesh, ctx)
+    c = _solve_dense(system, rhs)
+    sol = Solution(Density(system.mesh, c), problem, ctx, system, rhs)
+    sol.diagnostics["algebraic_residual"] = float(
+        np.linalg.norm(system.matrix @ c - rhs))
+    return sol
 
 
 def solve_problem_S(screen: Screen, ctx: WaveContext, g_D: TraceData,
                     h: float, tol: float = 1e-10,
                     system: GalerkinSystem | None = None) -> Solution:
     """Galerkin solution of -S_k phi = g_D; phi approximates [du/dn]."""
-    if g_D.role not in ("dirichlet", "aperture_i"):
-        raise ValueError("solve_problem_S expects Dirichlet-role data")
-    _check_point_source(g_D, screen)
-    mesh = system.mesh if system is not None else build_mesh(screen, h, "P0")
-    sysA = system if system is not None else assemble_single_layer(mesh, ctx, tol)
-    f = rhs_functional(g_D, mesh, ctx, tol)
-    c = _solve_dense(sysA, -f)
-    sol = Solution(Density(mesh, c), "S", ctx, sysA, f)
-    sol.diagnostics["algebraic_residual"] = float(
-        np.linalg.norm(sysA.matrix @ c + f))
-    return sol
+    return _solve("S", screen, ctx, g_D, h, tol, system)
 
 
 def solve_problem_T(screen: Screen, ctx: WaveContext, g_N: TraceData,
                     h: float, tol: float = 1e-10,
                     system: GalerkinSystem | None = None) -> Solution:
     """Galerkin solution of T_k psi = g_N; psi approximates [u]."""
-    if g_N.role not in ("neumann", "aperture_h"):
-        raise ValueError("solve_problem_T expects Neumann-role data")
-    _check_point_source(g_N, screen)
-    mesh = system.mesh if system is not None else build_mesh(screen, h, "P1")
-    sysB = system if system is not None else assemble_hypersingular(mesh, ctx, tol)
-    f = rhs_functional(g_N, mesh, ctx, tol)
-    c = _solve_dense(sysB, f)
-    sol = Solution(Density(mesh, c), "T", ctx, sysB, f)
-    sol.diagnostics["algebraic_residual"] = float(
-        np.linalg.norm(sysB.matrix @ c - f))
-    return sol
+    return _solve("T", screen, ctx, g_N, h, tol, system)
 
 
 def solve_aperture_H(screen: Screen, ctx: WaveContext, g_H: TraceData,
                      h: float, tol: float = 1e-10) -> Solution:
     """Sound-soft aperture: {u} solves T_k psi = g_H / 2."""
-    sol = solve_problem_T(screen, ctx, g_H.scaled(0.5), h, tol)
-    sol.problem = "aperture_H"
-    return sol
+    return _solve("aperture_H", screen, ctx, g_H, h, tol)
 
 
 def solve_aperture_I(screen: Screen, ctx: WaveContext, g_I: TraceData,
                      h: float, tol: float = 1e-10) -> Solution:
     """Sound-hard aperture: {du/dn} solves -S_k phi = g_I / 2."""
-    sol = solve_problem_S(screen, ctx, g_I.scaled(0.5), h, tol)
-    sol.problem = "aperture_I"
-    return sol
+    return _solve("aperture_I", screen, ctx, g_I, h, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +316,13 @@ def _kernel_block(single: bool, k: float, xt: np.ndarray, xn: np.ndarray,
     return K
 
 
+def _half_space_sign(spec: _Problem, u: np.ndarray, xn: np.ndarray) -> None:
+    """The sign rule of the aperture fields, applied in place: u(x) takes the
+    factor sign(x_n), and u_inf(xhat) the factor sign(xhat_n)."""
+    if spec.signed:
+        u *= np.sign(xn)
+
+
 def eval_field(sol: Solution, points) -> np.ndarray:
     """Scattered/diffracted field at points of R^n (off the screen closure).
 
@@ -318,6 +331,7 @@ def eval_field(sol: Solution, points) -> np.ndarray:
     u = sign(x_n) Dcal psi (H).  Points and quadrature nodes go in blocks,
     so that no kernel array exceeds ``_TABLE_CELLS`` cells.
     """
+    spec = _PROBLEMS[sol.problem]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     mesh = sol.density.mesh
     screen = mesh.screen
@@ -329,7 +343,7 @@ def eval_field(sol: Solution, points) -> np.ndarray:
         bad = np.nonzero(dists < floor)[0]
         raise ValueError(
             f"points {bad.tolist()} closer than the 0.5 h floor to the screen")
-    if sol.problem.startswith("aperture") and np.any(pts[:, -1] == 0.0):
+    if spec.signed and np.any(pts[:, -1] == 0.0):
         raise ValueError("aperture fields are two-sided: evaluation points "
                          "must leave the screen plane")
 
@@ -337,7 +351,6 @@ def eval_field(sol: Solution, points) -> np.ndarray:
     dens = qw * qv
     k = sol.ctx.k
     xt, xn = pts[:, :-1], pts[:, -1]
-    single = sol.problem in ("S", "aperture_I")
     q_step = min(dens.size, _TABLE_CELLS)
     p_step = max(1, _TABLE_CELLS // q_step)
     u = np.zeros(pts.shape[0], dtype=complex)
@@ -345,15 +358,12 @@ def eval_field(sol: Solution, points) -> np.ndarray:
         b = slice(s, s + p_step)
         for t in range(0, dens.size, q_step):
             q = slice(t, t + q_step)
-            u[b] += _kernel_block(single, k, xt[b], xn[b], qp[q]) @ dens[q]
-    if single:
+            u[b] += _kernel_block(spec.single, k, xt[b], xn[b], qp[q]) @ dens[q]
+    if spec.single:
         u *= -0.25j if screen.dim_ambient == 2 else -1.0 / (4.0 * np.pi)
-        if sol.problem == "aperture_I":
-            u *= np.sign(xn)
     else:
         u *= (0.25j * k if screen.dim_ambient == 2 else 1.0 / (4.0 * np.pi)) * xn
-        if sol.problem == "aperture_H":
-            u *= np.sign(xn)
+    _half_space_sign(spec, u, xn)
     return u if u.shape[0] > 1 else u[0]
 
 
@@ -368,6 +378,7 @@ def far_field(sol: Solution, directions) -> np.ndarray:
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if not np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-10):
         raise ValueError("far-field directions must be unit vectors")
+    spec = _PROBLEMS[sol.problem]
     mesh = sol.density.mesh
     k = sol.ctx.k
     n = mesh.screen.dim_ambient
@@ -384,14 +395,11 @@ def far_field(sol: Solution, directions) -> np.ndarray:
 
     pref = 1.0 / (4.0 * np.pi) if n == 3 else np.exp(1j * np.pi / 4.0) \
         / np.sqrt(8.0 * np.pi * k)
-    if sol.problem in ("S", "aperture_I"):
+    if spec.single:
         out = -pref * surf
-        if sol.problem == "aperture_I":
-            out = out * (-np.sign(dirs[:, -1]))
     else:
         out = pref * (-1j * k * dirs[:, -1]) * surf
-        if sol.problem == "aperture_H":
-            out = out * np.sign(dirs[:, -1])
+    _half_space_sign(spec, out, dirs[:, -1])
     return out
 
 
@@ -403,7 +411,8 @@ def aperture_total_field(sol: Solution, direction, points,
     sign -1 for the sound-soft configuration (problem H) and +1 for the
     sound-hard one (problem I); lower half-space: diffracted field only.
     """
-    if sol.problem not in ("aperture_H", "aperture_I"):
+    c_refl = _PROBLEMS[sol.problem].reflection
+    if c_refl is None:
         raise ValueError("total-field assembly applies to aperture solutions")
     d = np.asarray(direction, dtype=float)
     if d[-1] >= 0:
@@ -411,7 +420,6 @@ def aperture_total_field(sol: Solution, direction, points,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k = sol.ctx.k
     u = np.atleast_1d(eval_field(sol, pts))
-    c_refl = -1.0 if sol.problem == "aperture_H" else 1.0
     d_refl = d.copy()
     d_refl[-1] *= -1.0
     upper = pts[:, -1] > 0

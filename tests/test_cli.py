@@ -97,13 +97,38 @@ class TestRun:
         assert rows[1].split(",")[1] == "not-null"
         assert rows[2].split(",")[1] == "null"
 
-    def test_seeded_determinism_byte_identical(self, tmp_path):
-        path = write_config(tmp_path, "solve.json", SOLVE_CFG)
+    @pytest.mark.parametrize("command, problem", [
+        ("solve", "S"), ("solve", "T"), ("aperture", "H"), ("aperture", "I")])
+    def test_field_commands_end_to_end(self, tmp_path, command, problem):
+        path = write_config(tmp_path, "run.json",
+                            dict(SOLVE_CFG, command=command, problem=problem))
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert run(path, out_dir=str(out1)) == EXIT_PASS
         assert run(path, out_dir=str(out2)) == EXIT_PASS
-        for name in ("density.csv", "field.csv", "farfield.csv"):
+        headers = {"density.csv": "dof,x,c_re,c_im"}
+        if command == "solve":
+            headers["field.csv"] = "x0,x1,u_re,u_im"
+            headers["farfield.csv"] = "d0,d1,uinf_re,uinf_im"
+        else:
+            headers["field.csv"] = "x0,x1,u_re,u_im,u_mirror_re,u_mirror_im"
+        written = sorted(p.name for p in out1.iterdir())
+        assert written == sorted([*headers, *(n + ".meta.json" for n in headers)])
+        for name, header in headers.items():
+            assert (out1 / name).read_text().split("\n")[0] == header
+        for name in written:   # seeded runs are byte-identical
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("command, problem", [
+        ("solve", "H"), ("solve", "I"), ("aperture", "S"), ("aperture", "T")])
+    def test_problem_outside_command_rejected(self, tmp_path, capsys, command,
+                                              problem):
+        path = write_config(tmp_path, "bad.json",
+                            dict(SOLVE_CFG, command=command, problem=problem))
+        out = tmp_path / "o"
+        assert run(path, out_dir=str(out)) == EXIT_CONFIG
+        solved = "S or T" if command == "solve" else "H or I"
+        assert f"{command} solves problem {solved}" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
 
 class TestEmitter:

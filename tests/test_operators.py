@@ -40,7 +40,7 @@ class TestSingleLayerAssembly:
                                             continuity_estimate)
 
         sys_ = assemble_single_layer(p0_mesh8, WaveContext(5.0))
-        L = sys_.gram_minus.cholesky()
+        L = sys_.gram.cholesky()
         M = sla.solve_triangular(L, sys_.matrix, lower=True)
         M = sla.solve_triangular(L, M.conj().T, lower=True).conj().T
         sv = sla.svdvals(M)
@@ -71,10 +71,9 @@ class TestLazyGrams:
 
     def test_each_gram_built_once_on_read(self, gram_calls, p0_mesh8, p1_mesh):
         S = assemble_single_layer(p0_mesh8, WaveContext(5.0))
-        assert S.gram_minus is S.gram_minus
-        assert S.gram_plus is None
+        assert S.gram is S.gram
         T = assemble_hypersingular(p1_mesh, WaveContext(3.0))
-        assert T.gram_plus is T.gram_plus
+        assert T.gram is T.gram
         assert gram_calls == [-0.5, 0.5]
 
 

@@ -78,7 +78,7 @@ def _far_field_loop(sol: Solution, dirs: np.ndarray) -> np.ndarray:
     surf = surf * (2 * np.pi) ** ((n - 1) / 2)
     pref = 1 / (4 * np.pi) if n == 3 else np.exp(1j * np.pi / 4) / np.sqrt(8 * np.pi * k)
     up = np.sign(dirs[:, -1])
-    return {"S": -pref * surf, "aperture_I": pref * up * surf,
+    return {"S": -pref * surf, "aperture_I": -pref * up * surf,
             "T": -1j * k * pref * dirs[:, -1] * surf,
             "aperture_H": -1j * k * pref * dirs[:, -1] * up * surf}[sol.problem]
 
@@ -165,7 +165,7 @@ class TestProblemS:
         for m in (32, 64):
             fine = sols[2 * m]
             coarse_on_fine = np.repeat(sols[m].density.coefficients, 2)
-            G = fine.system.gram_minus
+            G = fine.system.gram
             diffs.append(G.norm(fine.density.coefficients - coarse_on_fine))
         assert diffs[1] < diffs[0]
 
@@ -299,6 +299,30 @@ class TestFarField:
         uR = complex(eval_field(sol, [R * xh]))
         finf = complex(far_field(sol, [xh])[0])
         assert abs(abs(uR) * R - abs(finf)) <= 1e-3 * abs(finf)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("problem", ["S", "T", "aperture_H", "aperture_I"])
+    def test_far_field_is_large_R_limit_of_field(self, n, problem):
+        # u_inf(xhat) = lim R^{(n-1)/2} e^{-ikR} u(R xhat), in both half-spaces
+        if n == 2:
+            screen, h, k, R = make_screen(2, [(0.0, 1.0)]), 1 / 32, 5.0, 4000.0
+            d = [0.6, -0.8]
+            xhats = np.array([[0.6, 0.8], [-0.28, -0.96]])
+        else:
+            screen, h, k, R = make_screen(3, [((0, 0), (1, 1))]), 1 / 4, 4.0, 3000.0
+            d = [0.3, 0.2, -np.sqrt(0.87)]
+            xhats = np.array([[0.36, 0.48, 0.8], [-0.48, 0.6, -0.64]])
+        ctx_n = WaveContext(k)
+        data, solve = {
+            "S": (incident_dirichlet(ctx_n, [d]), solve_problem_S),
+            "T": (incident_neumann(ctx_n, [d]), solve_problem_T),
+            "aperture_H": (aperture_h_data(ctx_n, d), solve_aperture_H),
+            "aperture_I": (aperture_i_data(ctx_n, d), solve_aperture_I),
+        }[problem]
+        sol = solve(screen, ctx_n, data, h)
+        ff = far_field(sol, xhats)
+        uR = eval_field(sol, R * xhats) * R ** ((n - 1) / 2) * np.exp(-1j * k * R)
+        assert np.all(np.abs(ff - uR) <= 1e-2 * np.abs(ff))
 
     def test_reciprocity_under_reflection(self, sol_S, ctx):
         # reflecting the density across the screen midpoint maps the far
