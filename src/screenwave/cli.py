@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, solver
 from .geometry import build_mesh, cantor_prefractal, make_screen
 from .sobolev import WaveContext
 from .solver import NumericalError
@@ -80,24 +80,22 @@ def _screen_from_config(cfg: dict):
     return make_screen(n, boxes)
 
 
+# plane-wave data constructor per data role, each (ctx, directions, amplitudes)
+_PLANE_WAVE_DATA = {
+    "dirichlet": solver.incident_dirichlet,
+    "neumann": solver.incident_neumann,
+    "aperture_h": solver.aperture_h_data,
+    "aperture_i": solver.aperture_i_data,
+}
+
+
 def _incident_from_config(cfg: dict, ctx: WaveContext, role: str,
                           ambient: int = 2):
-    from . import solver
-
     default_dir = [0.0] * (ambient - 1) + [-1.0]
     inc = cfg.get("incident", {"kind": "plane_wave",
                                "directions": [default_dir]})
-    kind = inc.get("kind", "plane_wave")
-    if kind == "plane_wave":
-        dirs = inc["directions"]
-        amps = inc.get("amplitudes")
-        if role == "dirichlet":
-            return solver.incident_dirichlet(ctx, dirs, amps)
-        if role == "neumann":
-            return solver.incident_neumann(ctx, dirs, amps)
-        if role == "aperture_h":
-            return solver.aperture_h_data(ctx, dirs[0])
-        return solver.aperture_i_data(ctx, dirs[0])
+    if inc.get("kind", "plane_wave") == "plane_wave":
+        return _PLANE_WAVE_DATA[role](ctx, inc["directions"], inc.get("amplitudes"))
     if role != "dirichlet":
         raise ValueError("cli.run: point sources drive Dirichlet data only")
     return solver.point_source_dirichlet(ctx, inc["source"])
@@ -127,8 +125,6 @@ def _farfield_directions(n: int, count: int):
 # ---------------------------------------------------------------------------
 def _cmd_field(cfg, emit: Emitter):
     """``solve`` (problems S, T) and ``aperture`` (problems H, I)."""
-    from . import solver
-
     command = cfg["command"]
     prefix = "aperture_" if command == "aperture" else ""
     letters = [p.removeprefix(prefix) for p in solver._PROBLEMS
@@ -209,8 +205,8 @@ def _cmd_coercivity(cfg, emit: Emitter):
     if op == "S":
         threshold = cfg.get("threshold", COERCIVITY_CONSTANT_S - 1e-3)
         lines, all_ok, rows = [], True, []
+        mesh = build_mesh(screen, cfg["h"], "P0")
         for k in (cfg["k_grid"] if "k_grid" in cfg else [cfg["k"]]):
-            mesh = build_mesh(screen, cfg["h"], "P0")
             res = coercivity_scan_S(mesh, WaveContext(float(k)),
                                     cfg.get("samples", 1000), seed,
                                     cfg.get("tol", 1e-9))
@@ -283,16 +279,15 @@ def _cmd_oracle_check(cfg, emit: Emitter):
     tol = cfg.get("tol", 1e-9)
     op = cfg.get("operator", "S")
     lines, rows, all_ok = [], [], True
+    mesh = build_mesh(screen, cfg["h"], "P0" if op == "S" else "P1")
     for k in (cfg["k_grid"] if "k_grid" in cfg else [cfg["k"]]):
         ctx = WaveContext(float(k))
         if op == "S":
-            mesh = build_mesh(screen, cfg["h"], "P0")
             sys_ = assemble_single_layer(mesh, ctx, tol)
             oracle = kernel_oracle_single_layer(mesh, ctx)
             rel = float(np.max(np.abs(sys_.matrix - oracle) / np.abs(oracle)))
             thresh = cfg.get("threshold", 1e-6)
         else:
-            mesh = build_mesh(screen, cfg["h"], "P1")
             sys_ = assemble_hypersingular(mesh, ctx, tol)
             oracle = maue_oracle_hypersingular(mesh, ctx, tol)
             rel = float(np.max(np.abs(sys_.matrix - oracle))
@@ -312,6 +307,9 @@ def _cmd_prefractal(cfg, emit: Emitter):
 
     ctx = WaveContext(cfg["k"])
     inc = cfg.get("incident", {"directions": [[0.0, -1.0]]})
+    if len(inc["directions"]) != 1 or "amplitudes" in inc:
+        raise ValueError("prefractal takes one incident plane wave: give one "
+                         "direction and no amplitudes")
     res = prefractal_convergence(cfg.get("screen", {"n": 2})["n"],
                                  cfg.get("ratio", 1.0 / 3.0),
                                  cfg["levels"], ctx,

@@ -23,17 +23,27 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .geometry import Mesh, Screen, build_mesh, cantor_prefractal
+from .geometry import Mesh, Screen, build_mesh, cantor_prefractal, dist_to_screen
 from .operators import (GalerkinSystem, assemble_hypersingular,
                         assemble_single_layer)
 from .sobolev import WaveContext, discrete_dual_norm
-from .solver import eval_field, far_field, solve_problem_S
+from .solver import eval_field, far_field, incident_dirichlet, solve_problem_S
 from .spectral import truncated_kernel_ft
 
 COERCIVITY_CONSTANT_S = 1.0 / (2.0 * math.sqrt(2.0))   # single-layer lower bound
 CONTINUITY_CONSTANT_T = 0.5                             # hypersingular upper bound
 R2_GATE = 0.9
 SLOPE_SLACK = 0.1
+
+# modulation directions of the structured samples, per screen dimension
+_BUMP_DIRECTIONS = {
+    1: np.array([[1.0], [-1.0], [0.5]]),
+    2: np.array([[np.cos(t), np.sin(t)]
+                 for t in np.linspace(0.0, np.pi, 4, endpoint=False)]),
+}
+# pencil candidates: the eigenvectors of smallest |lambda| per rotation theta
+_PENCIL_THETAS = (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4)
+_PENCIL_KEEP = 4
 
 
 @dataclass
@@ -71,6 +81,15 @@ def loglog_fit(x, y) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r2
 
 
+def _fit(k_grid: np.ndarray, y, slope_ok) -> dict:
+    """Log-log fit of y against k, gated by R^2, as SweepResult fields."""
+    slope, intercept, r2 = loglog_fit(k_grid, y)
+    verdict = "inconclusive" if r2 < R2_GATE else (
+        "pass" if slope_ok(slope) else "fail")
+    return {"slope": slope, "intercept": intercept, "r_squared": r2,
+            "verdict": verdict}
+
+
 def mesh_for_wavenumber(screen: Screen, k: float, elements_per_wavelength: float,
                         basis_kind: str, min_per_edge: int = 2,
                         max_dofs: int = 6000) -> Mesh:
@@ -87,15 +106,25 @@ def mesh_for_wavenumber(screen: Screen, k: float, elements_per_wavelength: float
     return mesh
 
 
+def _systems(screen: Screen, k_grid: np.ndarray, elements_per_wavelength: float,
+             single: bool, tol: float):
+    """(k, system) per wavenumber, on a mesh resolving it: S on P0 if single,
+    else T on P1."""
+    kind, assemble = (("P0", assemble_single_layer) if single
+                      else ("P1", assemble_hypersingular))
+    for k in k_grid:
+        mesh = mesh_for_wavenumber(screen, k, elements_per_wavelength, kind)
+        yield k, assemble(mesh, WaveContext(float(k)), tol)
+
+
 # ---------------------------------------------------------------------------
 # coercivity scans
 # ---------------------------------------------------------------------------
-def _quotients(system: GalerkinSystem, gram_entries: np.ndarray,
-               samples: np.ndarray) -> np.ndarray:
+def _quotients(system: GalerkinSystem, samples: np.ndarray) -> np.ndarray:
     """|c^H A c| / c^H G c for every sample row c."""
     conj = samples.conj()
     num = np.abs(np.sum(conj * (samples @ system.matrix.T), axis=1))
-    den = np.real(np.sum(conj * (samples @ gram_entries.T), axis=1))
+    den = np.real(np.sum(conj * (samples @ system.gram.entries.T), axis=1))
     return num / den
 
 
@@ -107,36 +136,37 @@ def _bump_values(points: np.ndarray, screen: Screen) -> np.ndarray:
     return np.prod(np.atleast_2d(prof), axis=1)
 
 
-def _structured_samples(mesh: Mesh, k: float) -> list[np.ndarray]:
+def _structured_samples(mesh: Mesh, k: float) -> np.ndarray:
     """Modulated-bump candidates concentrating the transform near |xi| = k."""
     pts = mesh.dof_points
     bump = _bump_values(pts, mesh.screen)
-    out = [bump.astype(complex)]
-    if mesh.dim_screen == 1:
-        dirs = [1.0, -1.0, 0.5]
-        for d in dirs:
-            out.append(np.exp(1j * k * d * pts[:, 0]) * bump)
-    else:
-        for th in np.linspace(0.0, np.pi, 4, endpoint=False):
-            d = np.array([np.cos(th), np.sin(th)])
-            out.append(np.exp(1j * k * (pts @ d)) * bump)
-    return out
+    waves = np.exp(1j * k * (pts @ _BUMP_DIRECTIONS[mesh.dim_screen].T)).T
+    return np.vstack([bump, waves * bump])
 
 
-def _pencil_candidates(system: GalerkinSystem, gram_entries: np.ndarray,
-                       n_keep: int = 4) -> list[np.ndarray]:
-    """Eigenvectors of Hermitian parts of e^{i theta} A against the Gram."""
-    A = system.matrix
-    out = []
-    for theta in (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4):
-        H = 0.5 * (np.exp(1j * theta) * A + (np.exp(1j * theta) * A).conj().T)
-        try:
-            vals, vecs = sla.eigh(H, gram_entries)
-        except sla.LinAlgError:
-            continue
-        idx = np.argsort(np.abs(vals))[:n_keep]
-        out.extend(vecs[:, i] for i in idx)
-    return out
+def _pencil_candidates(system: GalerkinSystem) -> np.ndarray:
+    """G-unit eigenvectors c of Herm(e^{i theta} A) c = lambda G c, as rows.
+
+    Each theta is a standard eigenproblem of the whitened matrix W; its
+    eigenvectors y of smallest |lambda| map back through c = L^{-H} y.
+    """
+    W = system.whitened
+    Y = []
+    for theta in _PENCIL_THETAS:
+        M = np.exp(1j * theta) * W
+        vals, vecs = sla.eigh(0.5 * (M + M.conj().T), driver="evd")
+        Y.append(vecs[:, np.argsort(np.abs(vals))[:_PENCIL_KEEP]])
+    L = system.gram.cholesky()
+    return sla.solve_triangular(L.conj().T, np.hstack(Y), lower=False).T
+
+
+def _samples(system: GalerkinSystem, rng: np.random.Generator,
+             n_rand: int) -> np.ndarray:
+    """Gaussian rows, then modulated bumps, then pencil candidates."""
+    N = system.n_dofs
+    gauss = rng.standard_normal((n_rand, N)) + 1j * rng.standard_normal((n_rand, N))
+    return np.concatenate([gauss, _structured_samples(system.mesh, system.ctx.k),
+                           _pencil_candidates(system)])
 
 
 def coercivity_scan_S(mesh: Mesh, ctx: WaveContext, sample_count: int = 1000,
@@ -148,17 +178,11 @@ def coercivity_scan_S(mesh: Mesh, ctx: WaveContext, sample_count: int = 1000,
     theoretical floor is 1/(2 sqrt 2), valid for every sample.
     """
     sys_ = system if system is not None else assemble_single_layer(mesh, ctx, tol)
-    G = sys_.gram.entries
-    rng = np.random.default_rng(seed)
-    N = mesh.n_dofs
-    structured = _structured_samples(mesh, ctx.k)
-    n_rand = max(sample_count - len(structured) - 16, 8)
-    samples = list(rng.standard_normal((n_rand, N))
-                   + 1j * rng.standard_normal((n_rand, N)))
-    samples += structured
-    samples += _pencil_candidates(sys_, G)
-    samples = np.asarray(samples[:sample_count])
-    q = _quotients(sys_, G, samples)
+    n_fixed = 1 + len(_BUMP_DIRECTIONS[sys_.mesh.dim_screen]) \
+        + len(_PENCIL_THETAS) * _PENCIL_KEEP
+    n_rand = max(sample_count - n_fixed, 8)
+    samples = _samples(sys_, np.random.default_rng(seed), n_rand)[:sample_count]
+    q = _quotients(sys_, samples)
     passes = q >= COERCIVITY_CONSTANT_S - 1e-3
     return SweepResult(
         parameter=np.arange(q.size, dtype=float),
@@ -179,33 +203,16 @@ def coercivity_scan_T(screen: Screen, k_grid, sample_count: int = 200,
     is compared against that exponent with sampling slack.
     """
     k_grid = np.asarray(sorted(k_grid), dtype=float)
-    mins = []
     rng = np.random.default_rng(seed)
-    for k in k_grid:
-        ctx = WaveContext(float(k))
-        mesh = mesh_for_wavenumber(screen, k, elements_per_wavelength, "P1")
-        sys_ = assemble_hypersingular(mesh, ctx, tol)
-        G = sys_.gram.entries
-        N = mesh.n_dofs
-        n_rand = max(sample_count - 24, 8)
-        samples = list(rng.standard_normal((n_rand, N))
-                       + 1j * rng.standard_normal((n_rand, N)))
-        samples += _structured_samples(mesh, k)
-        samples += _pencil_candidates(sys_, G)
-        q = _quotients(sys_, G, np.asarray(samples))
-        mins.append(float(q.min()))
-    mins = np.asarray(mins)
-    slope, intercept, r2 = loglog_fit(k_grid, mins)
+    n_rand = max(sample_count - 24, 8)
+    mins = np.array([
+        float(_quotients(sys_, _samples(sys_, rng, n_rand)).min())
+        for _, sys_ in _systems(screen, k_grid, elements_per_wavelength, False, tol)])
     beta = -0.5 if screen.dim_ambient == 2 else -2.0 / 3.0
-    if r2 < R2_GATE:
-        verdict = "inconclusive"
-    else:
-        verdict = "pass" if slope >= beta - 0.25 else "fail"
     return SweepResult(parameter=k_grid, quantities={"min_quotient": mins},
-                       slope=slope, intercept=intercept, r_squared=r2,
-                       verdict=verdict,
                        meta={"beta": beta, "seed": seed,
-                             "positive": bool(np.all(mins > 0))})
+                             "positive": bool(np.all(mins > 0))},
+                       **_fit(k_grid, mins, lambda s: s >= beta - 0.25))
 
 
 def continuity_estimate(system: GalerkinSystem) -> float:
@@ -215,10 +222,7 @@ def continuity_estimate(system: GalerkinSystem) -> float:
     one), weighted on both sides by the system's energy-space Gram:
     H^{-1/2}_k for the single-layer system, H^{+1/2}_k for the hypersingular.
     """
-    L = system.gram.cholesky()
-    M = sla.solve_triangular(L, system.matrix, lower=True)
-    M = sla.solve_triangular(L, M.conj().T, lower=True).conj().T
-    return float(sla.svdvals(M)[0])
+    return float(sla.svdvals(system.whitened)[0])
 
 
 def continuity_sweep_S(screen: Screen, k_grid, elements_per_wavelength: float = 8.0,
@@ -227,10 +231,7 @@ def continuity_sweep_S(screen: Screen, k_grid, elements_per_wavelength: float = 
     k_grid = np.asarray(sorted(k_grid), dtype=float)
     L = screen.diameter
     est, shaped = [], []
-    for k in k_grid:
-        ctx = WaveContext(float(k))
-        mesh = mesh_for_wavenumber(screen, k, elements_per_wavelength, "P0")
-        sys_ = assemble_single_layer(mesh, ctx, tol)
+    for k, sys_ in _systems(screen, k_grid, elements_per_wavelength, True, tol):
         e = continuity_estimate(sys_)
         est.append(e)
         if screen.dim_ambient == 2:
@@ -247,6 +248,12 @@ def continuity_sweep_S(screen: Screen, k_grid, elements_per_wavelength: float = 
                        meta={"max_over_min": ratio, "L": L})
 
 
+def _dual_ratio(system: GalerkinSystem, c: np.ndarray) -> float:
+    """||A c||_{G*} / ||c||_G: the discrete dual norm of the functional A c
+    over the energy norm of c."""
+    return discrete_dual_norm(system.matrix @ c, system.gram) / system.gram.norm(c)
+
+
 def sharpness_S(screen: Screen, k_grid, elements_per_wavelength: float = 10.0,
                 tol: float = 1e-9) -> SweepResult:
     """Growth of ||S_k phi|| / ||phi|| for the modulated-bump family.
@@ -257,23 +264,15 @@ def sharpness_S(screen: Screen, k_grid, elements_per_wavelength: float = 10.0,
     """
     k_grid = np.asarray(sorted(k_grid), dtype=float)
     ratios = []
-    for k in k_grid:
-        ctx = WaveContext(float(k))
-        mesh = mesh_for_wavenumber(screen, k, elements_per_wavelength, "P0")
-        sys_ = assemble_single_layer(mesh, ctx, tol)
-        pts = mesh.dof_points
-        bump = _bump_values(pts, screen)
-        c = np.exp(1j * k * pts[:, 0]) * bump
-        num = discrete_dual_norm(sys_.matrix @ c, sys_.gram)
-        den = sys_.gram.norm(c)
-        ratios.append(num / den)
+    for k, sys_ in _systems(screen, k_grid, elements_per_wavelength, True, tol):
+        pts = sys_.mesh.dof_points
+        c = np.exp(1j * k * pts[:, 0]) * _bump_values(pts, screen)
+        ratios.append(_dual_ratio(sys_, c))
     ratios = np.asarray(ratios)
-    slope, intercept, r2 = loglog_fit(k_grid, ratios)
-    verdict = "inconclusive" if r2 < R2_GATE else (
-        "pass" if 0.5 - SLOPE_SLACK <= slope <= 0.5 + SLOPE_SLACK else "fail")
     return SweepResult(parameter=k_grid, quantities={"ratio": ratios},
-                       slope=slope, intercept=intercept, r_squared=r2,
-                       verdict=verdict, meta={"target_slope": 0.5})
+                       meta={"target_slope": 0.5},
+                       **_fit(k_grid, ratios,
+                              lambda s: 0.5 - SLOPE_SLACK <= s <= 0.5 + SLOPE_SLACK))
 
 
 def sharpness_T(screen: Screen, k_grid, h: float | None = None,
@@ -289,16 +288,11 @@ def sharpness_T(screen: Screen, k_grid, h: float | None = None,
         h = float(edges.min()) / 8.0
     mesh = build_mesh(screen, h, "P1")
     c = _bump_values(mesh.dof_points, screen).astype(complex)
-    ratios = []
-    for k in k_grid:
-        ctx = WaveContext(float(k))
-        sys_ = assemble_hypersingular(mesh, ctx, tol)
-        # dual-norm surrogate of T_k psi in H^{-1/2}_k pairs against the
-        # discrete H~^{1/2} space, hence the +1/2 Gram
-        num = discrete_dual_norm(sys_.matrix @ c, sys_.gram)
-        den = sys_.gram.norm(c)
-        ratios.append(num / den)
-    ratios = np.asarray(ratios)
+    # dual-norm surrogate of T_k psi in H^{-1/2}_k pairs against the
+    # discrete H~^{1/2} space, hence the +1/2 Gram
+    ratios = np.array([
+        _dual_ratio(assemble_hypersingular(mesh, WaveContext(float(k)), tol), c)
+        for k in k_grid])
     ok_upper = bool(np.all(ratios <= CONTINUITY_CONSTANT_T + 1e-6))
     tail = ratios[k_grid >= 16.0] if np.any(k_grid >= 16.0) else ratios[-1:]
     ok_lower = bool(np.all(tail >= 0.1))
@@ -327,19 +321,14 @@ def pointwise_bound_check(screen: Screen, k_grid, x, incident_direction,
     The constant is existential: it is fitted at the smallest wavenumber and
     the ratio drift across the sweep is reported.
     """
-    from .geometry import dist_to_screen
-    from .solver import incident_dirichlet
-
     k_grid = np.asarray(sorted(k_grid), dtype=float)
     x = np.asarray(x, dtype=float)
     L = screen.diameter
     d = dist_to_screen(x, screen)
     vals, shapes = [], []
-    for k in k_grid:
-        ctx = WaveContext(float(k))
-        mesh = mesh_for_wavenumber(screen, k, elements_per_wavelength, "P0")
-        g = incident_dirichlet(ctx, [incident_direction])
-        sol = solve_problem_S(screen, ctx, g, mesh.h, tol)
+    for k, sys_ in _systems(screen, k_grid, elements_per_wavelength, True, tol):
+        g = incident_dirichlet(sys_.ctx, [incident_direction])
+        sol = solve_problem_S(screen, sys_.ctx, g, sys_.mesh.h, tol, system=sys_)
         vals.append(abs(complex(eval_field(sol, [x]))))
         shapes.append(_pointwise_shape(screen.dim_ambient, float(k), L, d))
     vals = np.asarray(vals)
@@ -499,8 +488,6 @@ def prefractal_convergence(n: int, ratio: float, level_grid, ctx: WaveContext,
     """Solve the sound-soft problem on each prefractal level and record
     observable differences between consecutive levels (trend reported, never
     asserted)."""
-    from .solver import incident_dirichlet
-
     levels = sorted(int(v) for v in level_grid)
     if n == 2:
         dirs_grid = [[math.sin(t), -math.cos(t)] for t in

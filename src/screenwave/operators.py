@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.special import hankel1, j0
 
 from .geometry import Mesh
@@ -32,7 +33,8 @@ from .spectral.rules import gauss_panels, split_interval
 class GalerkinSystem:
     """Pairing matrix with its wavenumber context and energy-space Gram.
 
-    The Gram matrix is built on first read: a solve never needs it.
+    The Gram matrix, and the pencil (A, G) whitened by its Cholesky factor,
+    are built on first read: a solve never needs them.
     """
 
     kind: str                    # "single_layer" | "hypersingular"
@@ -47,6 +49,17 @@ class GalerkinSystem:
         single-layer system, H^{+1/2}_k for the hypersingular one."""
         s = -0.5 if self.kind == "single_layer" else 0.5
         return gram(self.mesh, s, self.ctx, tol=self.tol)
+
+    @functools.cached_property
+    def whitened(self) -> np.ndarray:
+        """W = L^{-1} A L^{-H} with G = L L^H: the pencil (A, G) as one matrix.
+
+        The standard eigen- and singular values of W are the generalized ones
+        of the pencil, and y -> L^{-H} y maps unit vectors to G-unit ones.
+        """
+        L = self.gram.cholesky()
+        W = sla.solve_triangular(L, self.matrix, lower=True)
+        return sla.solve_triangular(L, W.conj().T, lower=True).conj().T
 
     def quadratic_form(self, c: np.ndarray) -> complex:
         """a(phi_c, phi_c) with explicit conjugation of the test coefficients."""

@@ -139,15 +139,15 @@ def point_source_dirichlet(ctx: WaveContext, source) -> TraceData:
     return TraceData("point_source", "dirichlet", ctx.k, source=source, scale=-1.0)
 
 
-def aperture_h_data(ctx: WaveContext, direction, amplitude=1.0) -> TraceData:
+def aperture_h_data(ctx: WaveContext, directions, amplitudes=None) -> TraceData:
     """g_H = -2 du^i/dn|_Gamma, incidence from the upper half-space."""
-    return TraceData("plane_wave", "aperture_h", ctx.k, [amplitude], [direction],
+    return TraceData("plane_wave", "aperture_h", ctx.k, amplitudes, directions,
                      derivative=True, scale=-2.0)
 
 
-def aperture_i_data(ctx: WaveContext, direction, amplitude=1.0) -> TraceData:
+def aperture_i_data(ctx: WaveContext, directions, amplitudes=None) -> TraceData:
     """g_I = -2 u^i|_Gamma, incidence from the upper half-space."""
-    return TraceData("plane_wave", "aperture_i", ctx.k, [amplitude], [direction],
+    return TraceData("plane_wave", "aperture_i", ctx.k, amplitudes, directions,
                      scale=-2.0)
 
 
@@ -181,7 +181,8 @@ _PROBLEMS = {
 }
 
 
-def _solve_dense(system: GalerkinSystem, rhs: np.ndarray) -> np.ndarray:
+def _solve_dense(system: GalerkinSystem, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """LU solution of A c = rhs and its algebraic residual ||A c - rhs||."""
     try:
         lu, piv = sla.lu_factor(system.matrix)
     except (sla.LinAlgError, ValueError) as exc:
@@ -195,7 +196,7 @@ def _solve_dense(system: GalerkinSystem, rhs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(c)) or res > 1e-8 * scale + 1e-13:
         raise NumericalError("singular Galerkin system: assembly defect "
                              "(coercivity guarantees invertibility)")
-    return c
+    return c, float(res)
 
 
 def _solve(problem: str, screen: Screen, ctx: WaveContext, g: TraceData,
@@ -213,11 +214,9 @@ def _solve(problem: str, screen: Screen, ctx: WaveContext, g: TraceData,
         system = assemble(build_mesh(screen, h, "P0" if spec.single else "P1"), ctx, tol)
     rhs = (-spec.scale if spec.single else spec.scale) \
         * rhs_functional(g, system.mesh, ctx)
-    c = _solve_dense(system, rhs)
-    sol = Solution(Density(system.mesh, c), problem, ctx, system, rhs)
-    sol.diagnostics["algebraic_residual"] = float(
-        np.linalg.norm(system.matrix @ c - rhs))
-    return sol
+    c, res = _solve_dense(system, rhs)
+    return Solution(Density(system.mesh, c), problem, ctx, system, rhs,
+                    {"algebraic_residual": res})
 
 
 def solve_problem_S(screen: Screen, ctx: WaveContext, g_D: TraceData,

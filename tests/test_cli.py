@@ -130,6 +130,35 @@ class TestRun:
         assert f"{command} solves problem {solved}" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
+    def test_aperture_superposes_every_plane_wave(self, tmp_path):
+        def density(name, incident):
+            cfg = dict(SOLVE_CFG, command="aperture", problem="H",
+                       incident=dict(kind="plane_wave", **incident))
+            out = tmp_path / name
+            assert run(write_config(tmp_path, name + ".json", cfg),
+                       out_dir=str(out)) == EXIT_PASS
+            cols = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
+            return cols[:, 2] + 1j * cols[:, 3]
+
+        d1, d2 = [0.6, -0.8], [0.0, -1.0]
+        both = density("both", {"directions": [d1, d2], "amplitudes": [3, 1]})
+        expected = 3 * density("one", {"directions": [d1]}) \
+            + density("two", {"directions": [d2]})
+        assert np.abs(both - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("incident", [
+        {"directions": [[0.6, -0.8], [0.0, -1.0]]},
+        {"directions": [[0.0, -1.0]], "amplitudes": [2.0]}])
+    def test_prefractal_refuses_superpositions(self, tmp_path, capsys, incident):
+        cfg = {"command": "prefractal", "screen": {"n": 2}, "k": 4.0,
+               "levels": [0, 1], "incident": incident}
+        out = tmp_path / "o"
+        assert run(write_config(tmp_path, "pf.json", cfg),
+                   out_dir=str(out)) == EXIT_CONFIG
+        assert "prefractal takes one incident plane wave" \
+            in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
 
 class TestEmitter:
     def test_header_only_for_empty_sweep(self, tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from screenwave import build_mesh, cantor_prefractal, make_screen
 from screenwave.diagnostics import (COERCIVITY_CONSTANT_S,
@@ -12,6 +13,7 @@ from screenwave.diagnostics import (COERCIVITY_CONSTANT_S,
                                     pointwise_bound_check,
                                     prefractal_convergence, sharpness_S,
                                     sharpness_T)
+from screenwave.diagnostics import _PENCIL_THETAS, _pencil_candidates
 from screenwave.operators import assemble_hypersingular, assemble_single_layer
 from screenwave.sobolev import WaveContext
 
@@ -92,6 +94,63 @@ class TestContinuity:
                                  elements_per_wavelength=6, tol=1e-8)
         assert res.verdict == "pass"
         assert res.meta["max_over_min"] <= 3.0
+
+
+class TestPencil:
+    """The energy-space pencil (A, G) read through GalerkinSystem.whitened."""
+
+    @pytest.fixture(scope="class")
+    def systems(self, unit_interval, unit_square):
+        return [
+            assemble_single_layer(build_mesh(unit_interval, 1 / 16, "P0"),
+                                  WaveContext(5.0)),
+            assemble_hypersingular(build_mesh(unit_square, 0.25, "P1"),
+                                   WaveContext(3.0)),
+        ]
+
+    def test_continuity_is_generalized_eigenvalue(self, systems):
+        for sys_ in systems:
+            A, G = sys_.matrix, sys_.gram.entries
+            M = A.conj().T @ np.linalg.solve(G, A)
+            lam = sla.eigh(0.5 * (M + M.conj().T), G, eigvals_only=True)[-1]
+            assert continuity_estimate(sys_) == pytest.approx(np.sqrt(lam),
+                                                              rel=1e-10)
+
+    def test_candidates_solve_the_pencil(self, systems):
+        for sys_ in systems:
+            A, G = sys_.matrix, sys_.gram.entries
+            C = _pencil_candidates(sys_)
+            keep = C.shape[0] // len(_PENCIL_THETAS)
+            assert C.shape == (len(_PENCIL_THETAS) * keep, sys_.n_dofs)
+            for i, c in enumerate(C):
+                H = np.exp(1j * _PENCIL_THETAS[i // keep]) * A
+                H = 0.5 * (H + H.conj().T)
+                assert np.vdot(c, G @ c).real == pytest.approx(1.0, abs=1e-12)
+                lam = np.vdot(c, H @ c).real
+                assert np.linalg.norm(H @ c - lam * (G @ c)) \
+                    <= 1e-10 * np.linalg.norm(A, 2)
+
+    def test_one_factorization_per_system(self, p0_mesh8, monkeypatch):
+        cholesky, eigh = sla.cholesky, sla.eigh
+        factored, generalized = [], []
+
+        def counting_cholesky(a, *args, **kwargs):
+            factored.append(a.shape)
+            return cholesky(a, *args, **kwargs)
+
+        def standard_eigh(a, b=None, *args, **kwargs):
+            generalized.append(b is not None)
+            return eigh(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(sla, "cholesky", counting_cholesky)
+        monkeypatch.setattr(sla, "eigh", standard_eigh)
+        ctx = WaveContext(5.0)
+        sys_ = assemble_single_layer(p0_mesh8, ctx)
+        coercivity_scan_S(p0_mesh8, ctx, 64, seed=0, system=sys_)
+        continuity_estimate(sys_)
+        assert factored == [(8, 8)]
+        assert generalized and not any(generalized)
+        assert sys_.whitened is sys_.whitened
 
 
 class TestSharpness:

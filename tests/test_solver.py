@@ -373,8 +373,8 @@ class TestApertures:
         assert np.abs(u + um).max() <= 1e-8 * np.abs(u).max()
 
     def test_H_linearity(self, unit_interval, ctx):
-        g1 = aperture_h_data(ctx, [0.6, -0.8], amplitude=1.0)
-        g2 = aperture_h_data(ctx, [0.6, -0.8], amplitude=2.0)
+        g1 = aperture_h_data(ctx, [0.6, -0.8], amplitudes=[1.0])
+        g2 = aperture_h_data(ctx, [0.6, -0.8], amplitudes=[2.0])
         s1 = solve_aperture_H(unit_interval, ctx, g1, 1 / 16)
         s2 = solve_aperture_H(unit_interval, ctx, g2, 1 / 16)
         assert np.allclose(2 * s1.density.coefficients,
