@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -33,8 +33,11 @@ from .spectral.rules import gauss_panels, split_interval
 class GalerkinSystem:
     """Pairing matrix with its wavenumber context and energy-space Gram.
 
-    The Gram matrix, and the pencil (A, G) whitened by its Cholesky factor,
-    are built on first read: a solve never needs them.
+    The LU factor, the Gram matrix, and the pencil (A, G) whitened by its
+    Cholesky factor, are built on first read: a solve needs only the first,
+    and every later solve against the system reuses it.  ``point_map`` is a
+    memo slot of the solver: (key, map) for the last point set whose field
+    map it kept, or None.
     """
 
     kind: str                    # "single_layer" | "hypersingular"
@@ -42,6 +45,14 @@ class GalerkinSystem:
     mesh: Mesh
     ctx: WaveContext
     tol: float
+    point_map: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def lu(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """``scipy.linalg.lu_factor`` of the matrix, and whether every entry
+        of the factor is finite (checked once, when it is formed)."""
+        lu, piv = sla.lu_factor(self.matrix)
+        return lu, piv, bool(np.all(np.isfinite(lu)))
 
     @functools.cached_property
     def gram(self) -> GramMatrix:

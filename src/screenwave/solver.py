@@ -4,14 +4,18 @@ The sound-soft screen reduces to the single-layer equation -S_k phi = g_D for
 the normal-derivative jump; the sound-hard screen to T_k psi = g_N for the
 field jump.  Aperture problems reuse the same equations with halved data, and
 their fields take the factor sign(x_n).  ``_PROBLEMS`` holds these facts, one
-entry per problem, for the solve, the fields and the CLI.  Scattered fields are
-evaluated by per-element Gauss quadrature of the layer-potential kernels:
-blocks of points against blocks of quadrature nodes, each one kernel array
-(n=2: Hankel functions from the real-argument Bessel J and Y) contracted
-against the weighted density in one product.  Far-field patterns come out in
-closed form through the basis transforms: the dofs of a uniform mesh share
-one transform envelope, so the pattern is that envelope times one
-(directions x dofs) phase product.
+entry per problem, for the solve, the fields and the CLI.  A solve reads the
+LU factor that its ``GalerkinSystem`` forms once, so many incidences solved
+against one system factor it once.  Scattered fields are evaluated by
+per-element Gauss quadrature of the layer-potential kernels: blocks of points
+against blocks of elements, each one kernel array (n=2: Hankel functions from
+the real-argument Bessel J and Y) contracted against the element rule's hat
+weights into a (points x dofs) field map E, and u = E c.  The system keeps
+the map of the last point set it was asked for, so a repeated point set costs
+one product.  Far-field patterns come out in closed form through the basis
+transforms: the dofs of a uniform mesh share one transform envelope, and
+their phases e^{-i xi . c_j} come per axis from the offset grid of
+``_axis_keys`` by angle addition, with no exponential per (direction, dof).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .operators import (GalerkinSystem, assemble_hypersingular,
                         assemble_single_layer)
 from .sobolev import Density, WaveContext, rhs_functional
 from .spectral import DofFamily
-from .spectral.engine import _TABLE_CELLS
+from .spectral.engine import _TABLE_CELLS, _axis_keys
 from .spectral.rules import gauss_legendre
 
 
@@ -182,21 +186,40 @@ _PROBLEMS = {
 
 
 def _solve_dense(system: GalerkinSystem, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """LU solution of A c = rhs and its algebraic residual ||A c - rhs||."""
+    """Solution of A c = rhs by the system's LU factor, formed on the first
+    solve, and its algebraic residual ||A c - rhs||."""
     try:
-        lu, piv = sla.lu_factor(system.matrix)
+        lu, piv, finite = system.lu
     except (sla.LinAlgError, ValueError) as exc:
         raise NumericalError(f"LU factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(lu)):
+    if not finite:
         raise NumericalError("singular Galerkin system: assembly defect "
                              "(coercivity guarantees invertibility)")
-    c = sla.lu_solve((lu, piv), rhs)
+    c = sla.lu_solve((lu, piv), rhs, check_finite=False)
     res = np.linalg.norm(system.matrix @ c - rhs)
     scale = max(np.linalg.norm(rhs), 1e-300)
     if not np.all(np.isfinite(c)) or res > 1e-8 * scale + 1e-13:
         raise NumericalError("singular Galerkin system: assembly defect "
                              "(coercivity guarantees invertibility)")
     return c, float(res)
+
+
+def _check_system(system: GalerkinSystem, spec: _Problem, screen: Screen,
+                  ctx: WaveContext, h: float) -> None:
+    """Refuse a pre-assembled system that is not the one the call describes."""
+    kind = "single_layer" if spec.single else "hypersingular"
+    own = system.mesh.screen
+    wrong = [name for name, same in (
+        ("operator", system.kind == kind),
+        ("k", system.ctx.k == ctx.k),
+        ("h", system.mesh.h == h),
+        ("screen", own.dim_ambient == screen.dim_ambient
+         and np.array_equal(own.lo, screen.lo) and np.array_equal(own.hi, screen.hi)),
+    ) if not same]
+    if wrong:
+        raise ValueError(f"the system differs from the call in {', '.join(wrong)} "
+                         f"(system: {system.kind}, k={system.ctx.k}, h={system.mesh.h}; "
+                         f"call: {kind}, k={ctx.k}, h={h})")
 
 
 def _solve(problem: str, screen: Screen, ctx: WaveContext, g: TraceData,
@@ -212,11 +235,14 @@ def _solve(problem: str, screen: Screen, ctx: WaveContext, g: TraceData,
     if system is None:
         assemble = assemble_single_layer if spec.single else assemble_hypersingular
         system = assemble(build_mesh(screen, h, "P0" if spec.single else "P1"), ctx, tol)
+    else:
+        _check_system(system, spec, screen, ctx, h)
     rhs = (-spec.scale if spec.single else spec.scale) \
         * rhs_functional(g, system.mesh, ctx)
+    lu_reused = "lu" in vars(system)
     c, res = _solve_dense(system, rhs)
     return Solution(Density(system.mesh, c), problem, ctx, system, rhs,
-                    {"algebraic_residual": res})
+                    {"algebraic_residual": res, "lu_reused": lu_reused})
 
 
 def solve_problem_S(screen: Screen, ctx: WaveContext, g_D: TraceData,
@@ -259,60 +285,73 @@ def _element_rule(mesh: Mesh, k: float):
     return np.column_stack([gx.ravel(), gy.ravel()]), np.outer(w0, w0).ravel()
 
 
-def _density_quad_points(sol: Solution):
-    """All element quadrature points with density values and weights.
-
-    A P1 element carries the hats of its 2^d corner nodes, found by (box,
-    node index); corners on a box boundary carry no dof.
-    """
-    mesh = sol.density.mesh
-    offs, ww = _element_rule(mesh, sol.ctx.k)
-    c = sol.density.coefficients
-    origins = mesh.element_center - mesh.h / 2.0
-    pts = origins[:, None, :] + offs[None, :, :]
+def _element_hats(mesh: Mesh, k: float):
+    """The element rule and the basis on it: node offsets from an element's
+    lower corner, their weights, the (nodes, corners) values of the 2^d
+    corner hats on them (P0: one column of ones), and the (elements,
+    corners) dof of each corner, -1 where a corner on a box boundary carries
+    none.  A corner's dof is found by (box, node index)."""
+    offs, ww = _element_rule(mesh, k)
     if mesh.basis_kind == "P0":
-        vals = np.repeat(c[:, None], offs.shape[0], axis=1)
-    else:
-        lo = mesh.screen.lo
-        node = np.rint((mesh.dof_points - lo[mesh.dof_box]) / mesh.h).astype(int)
-        dof_at = {(b, *n): j for j, (b, n) in
-                  enumerate(zip(mesh.dof_box, node.tolist()))}
-        first = np.rint((origins - lo[mesh.element_box]) / mesh.h).astype(int)
-        vals = np.zeros(pts.shape[:2], dtype=complex)
-        for corner in np.ndindex(*(2,) * mesh.dim_screen):
-            j = np.array([dof_at.get((b, *n), -1) for b, n in
-                          zip(mesh.element_box, (first + corner).tolist())])
-            e = np.nonzero(j >= 0)[0]
-            hat = np.prod(1.0 - np.abs(pts[e] - mesh.dof_points[j[e], None, :]) / mesh.h,
-                          axis=2)
-            vals[e] += c[j[e], None] * hat
-    return (pts.reshape(-1, mesh.dim_screen), vals.ravel(),
+        return offs, ww, np.ones((ww.size, 1)), np.arange(mesh.n_elements)[:, None]
+    corners = list(np.ndindex(*(2,) * mesh.dim_screen))
+    hats = np.column_stack([np.prod(1.0 - np.abs(offs - np.multiply(corner, mesh.h))
+                                    / mesh.h, axis=1) for corner in corners])
+    lo = mesh.screen.lo
+    node = np.rint((mesh.dof_points - lo[mesh.dof_box]) / mesh.h).astype(int)
+    dof_at = {(b, *n): j for j, (b, n) in enumerate(zip(mesh.dof_box, node.tolist()))}
+    first = np.rint((mesh.element_center - mesh.h / 2.0 - lo[mesh.element_box])
+                    / mesh.h).astype(int)
+    dof = np.array([[dof_at.get((b, *n), -1) for b, n in
+                     zip(mesh.element_box, (first + corner).tolist())]
+                    for corner in corners]).T
+    return offs, ww, hats, dof
+
+
+def _density_quad_points(sol: Solution):
+    """All element quadrature points with density values and weights."""
+    mesh = sol.density.mesh
+    offs, ww, hats, dof = _element_hats(mesh, sol.ctx.k)
+    c = np.append(sol.density.coefficients, 0.0)        # dof -1 reads the 0
+    pts = (mesh.element_center - mesh.h / 2.0)[:, None, :] + offs[None, :, :]
+    return (pts.reshape(-1, mesh.dim_screen), (c[dof] @ hats.T).ravel(),
             np.tile(ww, mesh.n_elements))
 
 
-def _kernel_block(single: bool, k: float, xt: np.ndarray, xn: np.ndarray,
-                  nodes: np.ndarray) -> np.ndarray:
-    """Layer-potential kernel between points (xt, xn) and screen nodes, less
-    the factors that depend on the point alone: H_0(kr) and H_1(kr)/r for
-    n=2, e^{ikr}/r and e^{ikr}(1-ikr)/r^3 for n=3, single layer (``single``)
-    and double layer."""
-    r2 = (xt[:, 0, None] - nodes[None, :, 0]) ** 2
+def _kernel_parts(single: bool, k: float, xt: np.ndarray, xn: np.ndarray,
+                  nodes: np.ndarray):
+    """The real and then the imaginary part of the layer-potential kernel
+    between points (xt, xn) and screen nodes, as functions of t = kr and less
+    the factors that depend on the point alone: H_0(t) and H_1(t)/t for n=2,
+    e^{it}/t and e^{it}(1 - it)/t^3 for n=3, single layer (``single``) and
+    double layer.  Both parts are yielded in one buffer, so that a block
+    holds two real arrays of its size, three for the n=3 double layer."""
+    t = np.subtract.outer(xt[:, 0], nodes[:, 0])
+    t *= t
     for a in range(1, nodes.shape[1]):
-        r2 += (xt[:, a, None] - nodes[None, :, a]) ** 2
-    r2 += xn[:, None] ** 2
-    r = np.sqrt(r2)
-    kr = k * r
+        d = np.subtract.outer(xt[:, a], nodes[:, a])
+        d *= d
+        t += d
+    t += (xn * xn)[:, None]
+    np.sqrt(t, out=t)
+    t *= k
+    out = np.empty_like(t)
     if nodes.shape[1] == 1:
-        if single:
-            return _hankel1(0, kr)
-        K = _hankel1(1, kr)
-    else:
-        K = np.exp(1j * kr)
+        for fn in ((j0, y0) if single else (j1, y1)):
+            fn(t, out=out)
+            if not single:
+                out /= t
+            yield out
+        return
+    for first, second, add in ((np.cos, np.sin, np.add), (np.sin, np.cos, np.subtract)):
+        first(t, out=out)
         if not single:
-            K *= 1.0 - 1j * kr
-            K /= r2
-    K /= r
-    return K
+            extra = second(t)
+            extra *= t
+            add(out, extra, out=out)
+            out /= t * t
+        out /= t
+        yield out
 
 
 def _half_space_sign(spec: _Problem, u: np.ndarray, xn: np.ndarray) -> None:
@@ -322,13 +361,51 @@ def _half_space_sign(spec: _Problem, u: np.ndarray, xn: np.ndarray) -> None:
         u *= np.sign(xn)
 
 
+def _field_map(single: bool, mesh: Mesh, k: float, pts: np.ndarray) -> np.ndarray:
+    """The (points x dofs) map E with u = E c: the single-layer (``single``)
+    or double-layer potential of each basis function at each point, before
+    the half-space sign.
+
+    Points and whole elements go in blocks of at most ``_TABLE_CELLS``
+    kernel cells (one element's nodes at the least); each kernel block is
+    contracted against the weighted corner hats of its elements and added
+    into the columns of their corner dofs.
+    """
+    offs, ww, hats, dof = _element_hats(mesh, k)
+    weights = ww[:, None] * hats
+    origins = mesh.element_center - mesh.h / 2.0
+    n_q, n_c = weights.shape
+    dof = np.where(dof < 0, mesh.n_dofs, dof)           # a dump column for no dof
+    xt, xn = pts[:, :-1], pts[:, -1]
+    e_step = max(1, min(mesh.n_elements, _TABLE_CELLS // n_q))
+    p_step = max(1, _TABLE_CELLS // (e_step * n_q))
+    E = np.zeros((pts.shape[0], mesh.n_dofs + 1), dtype=complex)
+    for s in range(0, pts.shape[0], p_step):
+        b = slice(s, s + p_step)
+        for t in range(0, mesh.n_elements, e_step):
+            e = slice(t, t + e_step)
+            nodes = (origins[e, None, :] + offs[None, :, :]).reshape(-1, mesh.dim_screen)
+            for part, K in zip((E.real, E.imag), _kernel_parts(single, k, xt[b], xn[b], nodes)):
+                K = (K.reshape(-1, n_q) @ weights).reshape(-1, nodes.shape[0] // n_q, n_c)
+                for corner in range(n_c):
+                    part[b, dof[e, corner]] += K[:, :, corner]
+    E = E[:, :-1]
+    if mesh.screen.dim_ambient == 2:
+        E *= -0.25j if single else (0.25j * k * k * xn)[:, None]
+    else:
+        E *= -k / (4.0 * np.pi) if single else (k ** 3 / (4.0 * np.pi) * xn)[:, None]
+    return E
+
+
 def eval_field(sol: Solution, points) -> np.ndarray:
     """Scattered/diffracted field at points of R^n (off the screen closure).
 
     Problem S: u = -Scal_k phi;  problem T: u = Dcal_k psi; aperture problems
     apply the half-space signs u = -sign(x_n) Scal phi (I) and
-    u = sign(x_n) Dcal psi (H).  Points and quadrature nodes go in blocks,
-    so that no kernel array exceeds ``_TABLE_CELLS`` cells.
+    u = sign(x_n) Dcal psi (H).  The field is E c with the field map E of
+    ``_field_map``.  A solution's system keeps the map of one point set, the
+    last one whose map fits in ``_TABLE_CELLS`` cells, and reuses it while
+    the points stay the same.
     """
     spec = _PROBLEMS[sol.problem]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -346,24 +423,21 @@ def eval_field(sol: Solution, points) -> np.ndarray:
         raise ValueError("aperture fields are two-sided: evaluation points "
                          "must leave the screen plane")
 
-    qp, qv, qw = _density_quad_points(sol)
-    dens = qw * qv
-    k = sol.ctx.k
-    xt, xn = pts[:, :-1], pts[:, -1]
-    q_step = min(dens.size, _TABLE_CELLS)
-    p_step = max(1, _TABLE_CELLS // q_step)
-    u = np.zeros(pts.shape[0], dtype=complex)
-    for s in range(0, pts.shape[0], p_step):
-        b = slice(s, s + p_step)
-        for t in range(0, dens.size, q_step):
-            q = slice(t, t + q_step)
-            u[b] += _kernel_block(spec.single, k, xt[b], xn[b], qp[q]) @ dens[q]
-    if spec.single:
-        u *= -0.25j if screen.dim_ambient == 2 else -1.0 / (4.0 * np.pi)
+    system, key = sol.system, (spec.single, sol.ctx.k, pts.shape, pts.tobytes())
+    if system is not None and system.point_map is not None and system.point_map[0] == key:
+        E = system.point_map[1]
     else:
-        u *= (0.25j * k if screen.dim_ambient == 2 else 1.0 / (4.0 * np.pi)) * xn
-    _half_space_sign(spec, u, xn)
+        E = _field_map(spec.single, mesh, sol.ctx.k, pts)
+        if system is not None and E.size <= _TABLE_CELLS:
+            system.point_map = (key, E)
+    u = E @ sol.density.coefficients
+    _half_space_sign(spec, u, pts[:, -1])
     return u if u.shape[0] > 1 else u[0]
+
+
+def _phases(xi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """e^{-i xi x} for every (xi, x) pair."""
+    return np.exp(-1j * np.outer(xi, x))
 
 
 def far_field(sol: Solution, directions) -> np.ndarray:
@@ -371,8 +445,16 @@ def far_field(sol: Solution, directions) -> np.ndarray:
 
     Closed form through the basis transforms: the surface integrals
     int e^{-ik xhat.y} basis_j(y) ds equal (2 pi)^{(n-1)/2} fhat_j(k xhat~),
-    and fhat_j(xi) = prod_a b(xi_a) e^{-i c_j . xi} with one envelope b for
-    every dof of the mesh.
+    and fhat_j(xi) = prod_a b(xi_a) e^{-i c_ja xi_a} with one envelope b for
+    every dof of the mesh.  Per axis, the centres sit in cells c_0 + hi[r] +
+    lo[s] of the offset grid of ``_axis_keys`` taken from the lowest centre
+    c_0 (off the lattice, hi holds every distinct offset and lo = {0}), and
+    their phases are e^{-i xi (c_0 + hi)} e^{-i xi lo}.  The coefficients,
+    summed into the cells of the last axis, one row per cell of the other
+    axis (n=2: one row), give sum_j c_j e^{-i xi_n-1 c_j,n-1} per row as
+    (phases of hi) @ C times (phases of lo); n=3 multiplies each row by the
+    phase of its other-axis cell.  No exponential is taken per (direction,
+    dof).  Directions go in blocks of about ``_TABLE_CELLS`` cells of C.
     """
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if not np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-10):
@@ -382,13 +464,29 @@ def far_field(sol: Solution, directions) -> np.ndarray:
     k = sol.ctx.k
     n = mesh.screen.dim_ambient
     c = sol.density.coefficients
+    fam = DofFamily.of(mesh)
+    axes = []
+    for a in range(n - 1):
+        x = fam.centers[:, a]
+        keys, at = _axis_keys(x, x.min(keepdims=True), fam.factor(a), fam.factor(a))
+        axes.append((x.min() + keys.hi, keys.lo, keys.at[at[:, 0]]))
+    *other, (hi, lo, cell) = axes
+    rows, row = (np.unique(other[0][2], return_inverse=True) if other
+                 else (np.zeros(1, dtype=int), np.zeros(c.size, dtype=int)))
+    C = np.zeros((rows.size, hi.size * lo.size), dtype=complex)
+    np.add.at(C, (row, cell), c)
+    C = C.reshape(rows.size, hi.size, lo.size)
     xi = k * dirs[:, :-1]
     surf = np.empty(dirs.shape[0], dtype=complex)
-    step = max(1, _TABLE_CELLS // c.size)
+    step = max(1, _TABLE_CELLS // C.size)
     for s in range(0, dirs.shape[0], step):
-        surf[s:s + step] = np.exp(-1j * (xi[s:s + step] @ mesh.dof_points.T)) @ c
+        b = slice(s, s + step)
+        sums = ((_phases(xi[b, -1], hi) @ C) * _phases(xi[b, -1], lo)).sum(axis=2)
+        for hi_o, lo_o, _ in other:
+            sums *= (_phases(xi[b, 0], hi_o)[:, rows // lo_o.size]
+                     * _phases(xi[b, 0], lo_o)[:, rows % lo_o.size]).T
+        surf[b] = sums.sum(axis=0)
     surf *= (2.0 * np.pi) ** ((n - 1) / 2.0)
-    fam = DofFamily.of(mesh)
     for a in range(n - 1):
         surf *= fam.factor(a).value(xi[:, a])
 

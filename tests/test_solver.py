@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from scipy.special import hankel1
 
-from screenwave import build_mesh, make_screen, solver
+from screenwave import build_mesh, make_screen, operators, solver
 from screenwave.geometry import basis_value
+from screenwave.operators import GalerkinSystem, assemble_single_layer
 from screenwave.sobolev import Density, WaveContext, discrete_dual_norm, gram
-from screenwave.solver import (Solution, TraceData, aperture_h_data,
+from screenwave.solver import (NumericalError, Solution, TraceData, aperture_h_data,
                                aperture_i_data, eval_field, far_field,
                                incident_dirichlet, incident_neumann,
                                point_source_dirichlet, solve_aperture_H,
                                solve_aperture_I, solve_problem_S,
                                solve_problem_T)
+from screenwave.spectral import DofFamily
+from screenwave.spectral.engine import _axis_keys
 from screenwave.spectral.factors import AxisFactor
 
 # (screen, h) per ambient dimension for the loop-reference comparisons
@@ -24,14 +27,29 @@ REF_POINTS = {
                  [0.2, 0.9, -0.7], [3.0, 2.0, 1.0]]),
 }
 PROBLEM_BASIS = {"S": "P0", "aperture_I": "P0", "T": "P1", "aperture_H": "P1"}
+# screens with a box at an irrational offset: their dof centres are off the h/2 lattice
+OFF_LATTICE = {
+    2: (make_screen(2, [(0.0, 0.5), (0.5 + 0.1 * np.sqrt(2), 1.0 + 0.1 * np.sqrt(2))]),
+        1 / 16),
+    3: (make_screen(3, [((0.0, 0.0), (1.0, 0.5)),
+                        ((0.1 * np.sqrt(2), 0.75), (0.5 + 0.1 * np.sqrt(2), 1.0))]), 1 / 8),
+}
 
 
-def _random_solution(n: int, problem: str, k: float = 7.0) -> Solution:
-    screen, h = REF_SCREENS[n]
+def _random_solution(n: int, problem: str, k: float = 7.0, screens=REF_SCREENS,
+                     with_system: bool = False) -> Solution:
+    """A random density; ``with_system`` attaches a system (identity matrix)
+    on its mesh, which field evaluation may keep its field map on."""
+    screen, h = screens[n]
     mesh = build_mesh(screen, h, PROBLEM_BASIS[problem])
     rng = np.random.default_rng(11)
     c = rng.standard_normal(mesh.n_dofs) + 1j * rng.standard_normal(mesh.n_dofs)
-    return Solution(Density(mesh, c), problem, WaveContext(k), None, None)
+    system = None
+    if with_system:
+        kind = "single_layer" if PROBLEM_BASIS[problem] == "P0" else "hypersingular"
+        system = GalerkinSystem(kind, np.eye(mesh.n_dofs, dtype=complex), mesh,
+                                WaveContext(k), 1e-10)
+    return Solution(Density(mesh, c), problem, WaveContext(k), system, None)
 
 
 def _field_loop(sol: Solution, pts: np.ndarray) -> np.ndarray:
@@ -263,6 +281,113 @@ class TestAgainstLoops:
         # cancel about tenfold on these random densities
         monkeypatch.setattr(solver, "_TABLE_CELLS", q // 3)
         assert np.abs(eval_field(sol, pts) - u).max() <= 1e-14 * np.abs(u).max()
+
+    def test_far_field_off_lattice(self, n, problem):
+        sol = _random_solution(n, problem, screens=OFF_LATTICE)
+        fam = DofFamily.of(sol.density.mesh)
+        x = fam.centers[:, 0]
+        assert _axis_keys(x, x.min(keepdims=True), fam.factor(0), fam.factor(0))[0].j is None
+        ref = _far_field_loop(sol, _directions(n))
+        got = far_field(sol, _directions(n))
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestSystemReuse:
+    """Many incidences against one system: one LU factor, one field map."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("problem", ["S", "T"])
+    def test_field_map_memo_is_bitwise(self, n, problem):
+        sol = _random_solution(n, problem, with_system=True)
+        pts = REF_POINTS[n]
+        miss = eval_field(sol, pts)
+        assert sol.system.point_map is not None
+        hit = eval_field(sol, pts.copy())
+        bare = eval_field(Solution(sol.density, problem, sol.ctx, None, None), pts)
+        assert np.array_equal(miss, hit) and np.array_equal(miss, bare)
+        # the map is kept per system, not per density
+        sol2 = Solution(Density(sol.density.mesh, 2.0 * sol.density.coefficients),
+                        problem, sol.ctx, sol.system, None)
+        assert np.array_equal(eval_field(sol2, pts), 2.0 * miss)
+
+    def test_memo_holds_one_point_set(self):
+        sol = _random_solution(2, "S", with_system=True)
+        a, b = REF_POINTS[2], REF_POINTS[2][:3] + 0.1
+        eval_field(sol, a)
+        map_a = sol.system.point_map[1]
+        eval_field(sol, b)
+        assert sol.system.point_map[1].shape == (3, sol.density.mesh.n_dofs)
+        eval_field(sol, a)
+        assert sol.system.point_map[1] is not map_a
+
+    def test_no_memo_above_the_budget(self, monkeypatch):
+        sol = _random_solution(2, "T", with_system=True)
+        u = eval_field(Solution(sol.density, "T", sol.ctx, None, None), REF_POINTS[2])
+        size = REF_POINTS[2].shape[0] * sol.density.mesh.n_dofs
+        monkeypatch.setattr(solver, "_TABLE_CELLS", size - 1)
+        got = eval_field(sol, REF_POINTS[2])
+        assert sol.system.point_map is None
+        assert np.abs(got - u).max() <= 1e-14 * np.abs(u).max()
+
+    def test_one_factorization_for_three_solves(self, unit_interval, ctx, monkeypatch):
+        system = assemble_single_layer(build_mesh(unit_interval, 1 / 16, "P0"), ctx)
+        calls = []
+        factor = operators.sla.lu_factor
+
+        def counted(a, *args, **kw):
+            calls.append(a.shape)
+            return factor(a, *args, **kw)
+
+        monkeypatch.setattr(operators.sla, "lu_factor", counted)
+        reused = []
+        for theta in (0.0, 0.4, -0.7):
+            g = incident_dirichlet(ctx, [[np.sin(theta), -np.cos(theta)]])
+            sol = solve_problem_S(unit_interval, ctx, g, 1 / 16, system=system)
+            reused.append(sol.diagnostics["lu_reused"])
+            assert sol.diagnostics["algebraic_residual"] <= 1e-12
+        assert calls == [(16, 16)]
+        assert reused == [False, True, True]
+
+    def test_non_finite_factor_raises_on_every_solve(self, unit_interval, ctx):
+        # finite entries whose elimination overflows: u22 = -1e308 - 1e308
+        mesh = build_mesh(unit_interval, 1 / 3, "P1")
+        A = np.array([[1.0, 1e308], [1.0, -1e308]], dtype=complex)
+        system = GalerkinSystem("hypersingular", A, mesh, ctx, 1e-10)
+        g = incident_neumann(ctx, [[0.0, -1.0]])
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="singular"):
+                solve_problem_T(unit_interval, ctx, g, 1 / 3, system=system)
+        assert system.lu[2] is False
+
+
+class TestSystemMismatch:
+    """A pre-assembled system must be the one the call describes."""
+
+    @pytest.fixture(scope="class")
+    def system_S(self, unit_interval, ctx):
+        return assemble_single_layer(build_mesh(unit_interval, 1 / 16, "P0"), ctx)
+
+    def test_operator_kind(self, unit_interval, ctx, system_S):
+        g = incident_neumann(ctx, [[0.0, -1.0]])
+        with pytest.raises(ValueError, match=r"differs from the call in operator \("):
+            solve_problem_T(unit_interval, ctx, g, 1 / 16, system=system_S)
+
+    def test_wavenumber(self, unit_interval, system_S):
+        ctx9 = WaveContext(9.0)
+        g = incident_dirichlet(ctx9, [[0.0, -1.0]])
+        with pytest.raises(ValueError, match=r"differs from the call in k \("):
+            solve_problem_S(unit_interval, ctx9, g, 1 / 16, system=system_S)
+
+    def test_mesh_width(self, unit_interval, ctx, system_S):
+        g = incident_dirichlet(ctx, [[0.0, -1.0]])
+        with pytest.raises(ValueError, match=r"differs from the call in h \("):
+            solve_problem_S(unit_interval, ctx, g, 1 / 64, system=system_S)
+
+    def test_screen(self, ctx, system_S):
+        other = make_screen(2, [(0.0, 0.5), (0.75, 1.0)])
+        g = incident_dirichlet(ctx, [[0.0, -1.0]])
+        with pytest.raises(ValueError, match=r"differs from the call in screen \("):
+            solve_problem_S(other, ctx, g, 1 / 16, system=system_S)
 
 
 class TestFarField:
