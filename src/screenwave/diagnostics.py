@@ -164,7 +164,9 @@ def _samples(system: GalerkinSystem, rng: np.random.Generator,
              n_rand: int) -> np.ndarray:
     """Gaussian rows, then modulated bumps, then pencil candidates."""
     N = system.n_dofs
-    gauss = rng.standard_normal((n_rand, N)) + 1j * rng.standard_normal((n_rand, N))
+    gauss = np.empty((n_rand, N), dtype=complex)
+    gauss.real = rng.standard_normal((n_rand, N))
+    gauss.imag = rng.standard_normal((n_rand, N))
     return np.concatenate([gauss, _structured_samples(system.mesh, system.ctx.k),
                            _pencil_candidates(system)])
 

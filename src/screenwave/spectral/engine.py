@@ -45,11 +45,10 @@ from scipy.special import hankel1, j0
 from ..geometry import Mesh
 from .factors import AxisFactor, pair_terms, snap_frequencies
 from .rules import PanelSpec, gauss_panels, radial_rule, sigma_plain, split_interval
-from .tails import (AxisTables, QuadratureError, VGrid, axis_tables, damping_columns,
-                    profile_tails, required_axis_Y, symbol_series,
+from .tails import (_TABLE_CELLS, AxisTables, QuadratureError, VGrid, axis_tables,
+                    damping_columns, profile_tails, required_axis_Y, symbol_series,
                     symbol_series_remainder, tensor_tails)
 
-_TABLE_CELLS = 1 << 17   # table cells per batch: bounds the working set
 _KEY_DIGITS = 12         # lattice tolerance 0.5e-12; off-lattice offsets equal to
                          # this many digits share one table entry
 

@@ -6,12 +6,24 @@ the basis-product factors the leftover integrals reduce to
 
 * n=2:  integrals  int_X^inf e^{i nu xi} xi^{-m} d xi  = X^{1-m} E_m(-i nu X),
   in one array pass over every term of every table key.  The orders of
-  one plan form a ladder m_0 + 2j; each distinct frequency gets all of them
-  from one long-double evaluation: the power series below |z| = 1, beyond
-  it one continued fraction at the order nearest |z| and the order
-  recurrence run outward from there.  The sums over orders and terms stay in
-  long double, because the P0 and P1 tails are second and fourth
-  differences in nu that amplify rounding by (h X)^-2 and (h X)^-4; and
+  one plan are rungs m_0 + 2j of a ladder; each distinct frequency gets them
+  from one long-double evaluation: the power series below |z| = 1, at the
+  read rungs only, beyond it one continued fraction at the order nearest
+  |z| and the order recurrence run outward from there.  The sums over orders
+  and terms stay in long double, because the P0 and P1 tails are second and
+  fourth differences in nu that amplify rounding by (h X)^-2 and (h X)^-4.
+
+  The ladder depends on the mesh's frequencies nu, on X and on the rungs,
+  not on k: a k sweep on one mesh keeps X = 40 up to k = 16 and reads the
+  same few ladders again and again.  ``profile_tails`` therefore keeps the
+  ladders of one frequency set and one X, keyed by (m_0, rungs) and at most
+  ``_TABLE_CELLS`` cells in all; a new set or X drops them.  A hit is history-
+  free: it returns the array that a fresh call with that key computes, bit
+  for bit, because the key is everything the ladder reads and no other
+  ladder stands in for it.  The first rungs of a longer ladder are not
+  those of a shorter one: its continued fractions may start at higher
+  orders and its series stops later, which moves the last bits.  The n=3
+  axis tables evaluate their ladders fresh; and
 
 * n=3:  exterior-of-square integrals of |xi|^p * P(xi) for separable P,
   computed through the heat-kernel factorization
@@ -43,6 +55,7 @@ _SERIES_RADIUS = 1.0
 _CF_EPS = 8.0 * float(np.finfo(np.longdouble).eps)
 _CF_CELLS = 1024     # argument-iterations per continued-fraction convergence test
 _CF_CHUNK = 2048     # arguments per continued-fraction batch
+_TABLE_CELLS = 1 << 17   # cells per table batch and in the ladder memo: bounds the working set
 
 
 class QuadratureError(RuntimeError):
@@ -215,25 +228,30 @@ def _lentz(m: np.ndarray, z: np.ndarray, maxiter: int) -> np.ndarray:
         t = t[:idx.size]
 
 
-def _expint_ladder(m0: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
-    """E_{m0+j}(z) for j = 0..n-1: a (z.size, n) long-double array for 1-D
-    m0 and z.
+def _expint_ladder(m0: np.ndarray, z: np.ndarray, rungs) -> np.ndarray:
+    """E_{m0+r}(z) for r in ``rungs``: a (z.size, len(rungs)) long-double
+    array for 1-D m0 and z and ascending distinct rungs r >= 0.
 
-    Everything runs in long double.  Below |z| = 1 every order comes from
-    the power series.  From there on, one continued fraction gives the order
-    nearest |z| (clipped to the ladder), and the recurrence (DLMF 8.19.12)
+    Everything runs in long double.  Below |z| = 1 every rung comes from
+    the power series, evaluated at the rungs alone; its top order, the
+    ladder's, sets where it stops.  From there on, one continued fraction
+    gives the order nearest |z| (clipped to the ladder m0 ... m0+max(rungs)),
+    and the recurrence (DLMF 8.19.12)
 
         p E_{p+1}(z) + z E_p(z) = e^{-z}
 
-    runs up from it while p >= |z| and down while p <= |z|.  In those
-    directions each step scales the error it inherits by |z|/p or p/|z|,
-    at most about 1, so the ladder keeps the fraction's long-double accuracy.
+    runs up from it while p >= |z| and down while p <= |z| through every
+    order of the ladder.  In those directions each step scales the error it
+    inherits by |z|/p or p/|z|, at most about 1, so the ladder keeps the
+    fraction's long-double accuracy.
     """
     m0, z = m0.astype(np.longdouble), z.astype(np.clongdouble)
-    out = np.empty((z.size, n), dtype=np.clongdouble)
+    rungs = np.asarray(rungs, dtype=int)
+    n = int(rungs[-1]) + 1
+    out = np.empty((z.size, rungs.size), dtype=np.clongdouble)
     near = np.abs(z) < _SERIES_RADIUS
     if near.any():
-        orders = m0[near, None] + np.arange(n)
+        orders = m0[near, None] + rungs
         zs = np.broadcast_to(z[near, None], orders.shape)
         out[near] = _expint_series(orders.ravel(), zs.ravel()).reshape(orders.shape)
     far = np.flatnonzero(~near)
@@ -257,8 +275,49 @@ def _expint_ladder(m0: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
         for j in range(n - 2, -1, -1):
             down = slice(split[j], None)
             E[down, j] = (ez[down] - p[down, j] * E[down, j + 1]) / z[down]
-        out[far] = E
+        out[far] = E[:, rungs]
     return out
+
+
+def _fresh_ladder(m0, freq: np.ndarray, X: float, rungs: tuple) -> np.ndarray:
+    """``_expint_ladder`` at z = -i nu X for the frequencies nu in ``freq``,
+    from the one start order m0."""
+    z = -1j * freq * np.longdouble(X)
+    return _expint_ladder(np.full(z.size, m0), z, rungs)
+
+
+class _LadderMemo:
+    """The ``_fresh_ladder`` values of one argument set z = -i nu X, that is
+    of one frequency array and one X, keyed by (m0, rungs).
+
+    A call with other frequencies, compared by value, or another X drops
+    every ladder first.  A ladder is kept only while the memo holds at most
+    ``_TABLE_CELLS`` cells, and is read-only.  The argument set and its
+    ladders are replaced as one, so a ladder is only ever stored with the
+    arguments it was computed from.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.held = (None, None, {})
+
+    def __call__(self, m0, freq: np.ndarray, X: float, rungs: tuple) -> np.ndarray:
+        held, held_X, ladders = self.held
+        if held_X != X or held is None or not np.array_equal(held, freq):
+            ladders = {}
+            self.held = (freq, X, ladders)
+        E = ladders.get((m0, rungs))
+        if E is None:
+            E = _fresh_ladder(m0, freq, X, rungs)
+            if E.size + sum(L.size for L in ladders.values()) <= _TABLE_CELLS:
+                E.flags.writeable = False
+                ladders[m0, rungs] = E
+        return E
+
+
+_LADDERS = _LadderMemo()
 
 
 def expint(m, z) -> np.ndarray:
@@ -269,7 +328,7 @@ def expint(m, z) -> np.ndarray:
     """
     m, z = np.broadcast_arrays(np.asarray(m, dtype=float),
                                np.asarray(z, dtype=complex))
-    return _expint_ladder(m.ravel(), z.ravel(), 1).reshape(z.shape).astype(complex)
+    return _expint_ladder(m.ravel(), z.ravel(), [0]).reshape(z.shape).astype(complex)
 
 
 def halfline_osc_integral(m, nu, X: float) -> np.ndarray:
@@ -293,14 +352,20 @@ def profile_tails(c, nu, q: int, series, X: float) -> np.ndarray:
 
     with F_k(-xi) = conj(F_k(xi)).  ``nu`` is a (K, T) array and ``c``
     broadcasts against it.  ``series`` holds the (coef_s, p_s) pairs, whose
-    orders m_s = q - p_s lie on one ladder m_0 + 2j.  Frequencies equal bit
-    for bit share one ``_expint_ladder`` row; the half-line sums against the
-    series and the contraction over t run in long double, and each row is
-    rounded once.
+    orders m_s = q - p_s are rungs of one ladder m_0 + j.  Frequencies equal
+    bit for bit share one ladder row, read from the memo ``_LADDERS``; the
+    half-line sums against the series and the contraction over t run in
+    long double, and each row is rounded once.
     """
+    return _profile_tails(c, nu, q, series, X, _LADDERS)
+
+
+def _profile_tails(c, nu, q: int, series, X: float, ladder) -> np.ndarray:
+    """``profile_tails`` with the ladder rows of the distinct nonzero
+    frequencies from ``ladder(m0, freq, X, rungs)``."""
     coef = np.array([a for a, _ in series], dtype=np.longdouble)
     m = q - np.array([p for _, p in series], dtype=np.longdouble)
-    rung = np.rint(m - m.min()).astype(int)
+    rungs, col = np.unique(np.rint(m - m.min()).astype(int), return_inverse=True)
     w = coef * np.longdouble(X) ** (1.0 - m)
     freq, back = np.unique(nu, return_inverse=True)
     # |xi|^p F(xi) on xi < -X is (-1)^q times the nu -> -nu integral, which
@@ -312,10 +377,8 @@ def profile_tails(c, nu, q: int, series, X: float) -> np.ndarray:
         if m.min() <= 1.0:
             raise ValueError("profile_tails: divergent DC tail (m <= 1)")
         per_freq[dc] = (1.0 + sgn) * np.sum(w / (m - 1.0))
-    osc = ~dc
-    z = -1j * freq[osc] * np.longdouble(X)
-    E = _expint_ladder(np.full(z.size, m.min()), z, rung.max() + 1)[:, rung]
-    per_freq[osc] = (E + sgn * E.conj()) @ w
+    E = ladder(m.min(), freq[~dc], X, tuple(rungs.tolist()))[:, col]
+    per_freq[~dc] = (E + sgn * E.conj()) @ w
     return np.sum(c * per_freq[back.reshape(nu.shape)], axis=1).astype(complex)
 
 
@@ -482,9 +545,10 @@ def axis_tables(q: int, c: np.ndarray, nu: np.ndarray, X: float, Y: np.ndarray,
     m2_tail = np.full(Y.size, np.nan)
     for y in np.unique(Y):
         at = Y == y
-        non_dc0[at] = profile_tails(np.where(dc[at], 0.0, c), nu[at], q, [(1.0, 0.0)], y).real
+        non_dc0[at] = _profile_tails(np.where(dc[at], 0.0, c), nu[at], q, [(1.0, 0.0)],
+                                     y, _fresh_ladder).real
         if q >= 4:
-            m2_tail[at] = profile_tails(c, nu[at], q, [(1.0, 2.0)], y).real
+            m2_tail[at] = _profile_tails(c, nu[at], q, [(1.0, 2.0)], y, _fresh_ladder).real
     Yk = Y[:, None]
     damp = np.exp(-v * Yk * Yk)
     return AxisTables(

@@ -296,7 +296,7 @@ class TestExpint:
         radii = np.array([1.0, 1.5, 3.0, 7.99, 8.01, 20.0, 40.0, 80.0])
         z = np.concatenate([-1j * radii, 1j * radii])
         for m0 in (3.0, 3.2, 2.6, 1.0 + 1e-3):
-            got = tails._expint_ladder(np.full(z.size, m0), z, 25)
+            got = tails._expint_ladder(np.full(z.size, m0), z, range(25))
             ref = np.array([[complex(mp.expint(mp.mpf(m0) + j, mp.mpc(0.0, b.imag)))
                              for j in range(25)] for b in z])
             assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
@@ -312,11 +312,21 @@ class TestExpint:
         z = -1j * radii * rng.choice([-1.0, 1.0], radii.size)
         m0 = rng.choice([3.0, 1.0, 3.2, 2.6, 1.0 + 1e-3], radii.size)
         perm = rng.permutation(z.size)
-        got = tails._expint_ladder(m0, z, 9)
-        assert np.array_equal(tails._expint_ladder(m0[perm], z[perm], 9), got[perm])
+        got = tails._expint_ladder(m0, z, range(9))
+        assert np.array_equal(tails._expint_ladder(m0[perm], z[perm], range(9)), got[perm])
         monkeypatch.setattr(tails, "_CF_CHUNK", 16)
-        assert np.array_equal(tails._expint_ladder(m0, z, 9), got)
-        assert np.array_equal(tails._expint_ladder(m0[perm], z[perm], 9), got[perm])
+        assert np.array_equal(tails._expint_ladder(m0, z, range(9)), got)
+        assert np.array_equal(tails._expint_ladder(m0[perm], z[perm], range(9)), got[perm])
+
+    def test_read_rungs_equal_the_full_ladder(self):
+        """Rungs 0, 2, ..., 8 of a 9-rung ladder, the series evaluated at
+        those alone, are the same columns of the full ladder bit for bit."""
+        rng = np.random.default_rng(6)
+        radii = np.concatenate([rng.uniform(0.01, 0.999, 60), rng.uniform(1.0, 30.0, 60)])
+        z = -1j * radii * rng.choice([-1.0, 1.0], radii.size)
+        m0 = np.full(z.size, 3.0)
+        full = tails._expint_ladder(m0, z, range(9))
+        assert np.array_equal(tails._expint_ladder(m0, z, [0, 2, 4, 6, 8]), full[:, ::2])
 
     def test_kernels_match_reference_loops(self):
         """The blocked continued fraction and the tabled power series give,
@@ -414,6 +424,13 @@ class TestExpint:
                 halfline_osc_integral(m, 0.0, 40.0)
         with pytest.raises(ValueError, match="divergent"):
             halfline_osc_integral(np.array([3.0, 1.0]), np.array([0.5, 0.0]), 40.0)
+
+
+@pytest.fixture(autouse=True)
+def _no_memo_ladders():
+    """Every test starts from an empty ladder memo, so that no count of
+    ladder evaluations depends on the tests run before it."""
+    tails._LADDERS.clear()
 
 
 def _line_plan(kind, rows, cols=None, tol=1e-10):
@@ -650,6 +667,87 @@ class TestLineTailTable:
 
 
 class TestHistoryIndependence:
+    @staticmethod
+    def _counted_ladders(monkeypatch) -> list:
+        rungs = []
+        ladder = tails._expint_ladder
+
+        def counted(m0, z, r):
+            rungs.append(tuple(r))
+            return ladder(m0, z, r)
+
+        monkeypatch.setattr(tails, "_expint_ladder", counted)
+        return rungs
+
+    def test_memo_hit_equals_fresh_assembly(self, monkeypatch):
+        """S at k=5 on the N=256 interval, fresh and after G(-1/2) and S at
+        k=7 and k=13 (X = 40 throughout): the second reads S(7)'s ladder."""
+        mesh = _line_mesh(1 / 256, "P0")
+        fresh = assemble(single_layer(5.0), mesh)
+        tails._LADDERS.clear()
+        for k in (7.0, 13.0):
+            assemble(bessel(k, -0.5), mesh)
+            assemble(single_layer(k), mesh)
+        rungs = self._counted_ladders(monkeypatch)
+        assert np.array_equal(assemble(single_layer(5.0), mesh), fresh)
+        assert rungs == []
+
+    def test_hit_is_never_a_slice_of_a_longer_ladder(self):
+        """Cantor level 4 at k=28 (X = 70): S reads 5 rungs of a 9-rung
+        ladder and G(-1/2) 8 rungs of a 15-rung one.  The first 9 rungs of
+        the longer ladder differ from the shorter ladder in the last bits of
+        most rows, since the continued fractions start at orders clipped to
+        the ladder; the memo keeps both, each equal to a fresh evaluation."""
+        mesh = _cantor_mesh(4, 3.0 ** -4 / 8)
+        assemble(bessel(28.0, -0.5), mesh, tol=1e-9)
+        assemble(single_layer(28.0), mesh, tol=1e-9)
+        freq, X, ladders = tails._LADDERS.held
+        (m0, short), (_, long) = sorted(ladders, key=lambda key: len(key[1]))
+        assert (short, long) == (tuple(range(0, 9, 2)), tuple(range(0, 15, 2)))
+        assert np.array_equal(ladders[m0, short], tails._fresh_ladder(m0, freq, X, short))
+        assert not np.array_equal(ladders[m0, short], ladders[m0, long][:, :len(short)])
+
+    def test_one_ladder_per_rung_set_over_a_k_sweep(self, monkeypatch):
+        mesh = _line_mesh(1 / 256, "P0")
+        ks = np.linspace(4.0, 16.0, 13)
+        orders = {_line_plan(single_layer(k), mesh).M for k in ks}
+        rungs = self._counted_ladders(monkeypatch)
+        for k in ks:
+            assemble(single_layer(k), mesh)
+        assert sorted(rungs) == [tuple(range(0, 2 * M + 1, 2)) for M in sorted(orders)]
+
+    def test_new_frequencies_drop_the_old_ladders(self):
+        assemble(single_layer(5.0), _line_mesh(1 / 256, "P0"))
+        old = list(tails._LADDERS.held[2].values())
+        assemble(single_layer(5.0), _line_mesh(1 / 128, "P0"))
+        (key, ladder), = tails._LADDERS.held[2].items()
+        assert key[1] == (0, 2, 4, 6) and not any(ladder is L for L in old)
+
+    def test_new_split_radius_drops_the_old_ladders(self):
+        """Cantor level 4 at k = 26 and k = 30: X = 65 and 75, so the memo
+        holds the ladders of the second assembly only."""
+        mesh = _cantor_mesh(4, 3.0 ** -4 / 8)
+        assemble(single_layer(26.0), mesh, tol=1e-9)
+        assemble(single_layer(30.0), mesh, tol=1e-9)
+        _, X, ladders = tails._LADDERS.held
+        assert X == 75.0 and len(ladders) == 1
+
+    def test_no_ladder_above_the_budget(self, monkeypatch):
+        mesh = _line_mesh(1 / 256, "P0")
+        assemble(single_layer(5.0), mesh)
+        (ladder,) = tails._LADDERS.held[2].values()
+        assert not ladder.flags.writeable
+        tails._LADDERS.clear()
+        monkeypatch.setattr(tails, "_TABLE_CELLS", ladder.size - 1)
+        A = assemble(single_layer(5.0), mesh)
+        assert tails._LADDERS.held[2] == {}
+        # a second ladder that would take the memo past the budget
+        monkeypatch.setattr(tails, "_TABLE_CELLS", ladder.size + 1)
+        assemble(single_layer(5.0), mesh)
+        assemble(single_layer(13.0), mesh)
+        assert [L.shape for L in tails._LADDERS.held[2].values()] == [ladder.shape]
+        assert np.array_equal(assemble(single_layer(5.0), mesh), A)
+
     def test_cantor_assembly_bit_identical_after_other_k(self):
         # a fresh process against one that assembled another k first
         mesh = build_mesh(cantor_prefractal(2, 3, 1 / 3), 3.0 ** -3 / 8, "P0")

@@ -11,7 +11,11 @@ terms of every offset key of the matrix once, and then times
 ``run`` measures each case in a fresh child process, one at a time, and
 records per case
 
-* the median, quartiles and minimum of the wall time of ``CALLS`` calls;
+* the median, quartiles and minimum of the wall time of ``CALLS`` calls,
+  each made with an empty ladder memo (``tails._LADDERS``), so that every
+  call evaluates its E_m ladders;
+* ``profile_tails_warm_s``, the median and minimum of ``CALLS`` - 1 calls
+  that read the ladders the call before them left in the memo;
 * ``peak_rss_mb``, the child's resident high-water mark (imports, plan and
   the timed calls), and ``call_peak_mb``, the largest ``tracemalloc`` peak
   of one call, which is the kernel's own working set;
@@ -24,9 +28,11 @@ records per case
 
 ``combine`` joins ``run`` files made at a parent checkout and at the change
 into one record: per case, each side's per-run medians, their median and
-the change/parent ratio, and the output of ``tools/matrix_cases.py compare``
+the change/parent ratio of the cold calls, the median warm call where the
+side records one, and the output of ``tools/matrix_cases.py compare``
 when it is given.  Each checkout is measured with its own source tree on
-``PYTHONPATH`` and this file.  Alternate the sides, one run at a time: on a
+``PYTHONPATH`` and its own copy of this tool; a copy from before the memo
+records cold calls only.  Alternate the sides, one run at a time: on a
 shared machine the speed drifts by tens of per cent over minutes.
 """
 
@@ -98,13 +104,21 @@ def _measure(index: int) -> dict:
     q, c, nu = engine._term_frequencies(plan.rows.factor(0), plan.cols.factor(0), keys)
     args = (c, nu, q, plan.sigma_terms, plan.xi_max)
 
-    times = []
-    for _ in range(CALLS):
-        t0 = time.perf_counter()
-        tails.profile_tails(*args)
-        times.append(time.perf_counter() - t0)
+    def timed(cold: bool) -> list[float]:
+        out = []
+        for _ in range(CALLS):
+            if cold:
+                tails._LADDERS.clear()
+            t0 = time.perf_counter()
+            tails.profile_tails(*args)
+            out.append(time.perf_counter() - t0)
+        return out
+
+    times = timed(cold=True)
+    warm = timed(cold=False)    # the first call fills the memo, which the rest read
     call_peak = 0
     for _ in range(3):
+        tails._LADDERS.clear()
         tracemalloc.start()
         tails.profile_tails(*args)
         call_peak = max(call_peak, tracemalloc.get_traced_memory()[1])
@@ -118,6 +132,7 @@ def _measure(index: int) -> dict:
         return cf(m, z, *rest, **kw)
 
     tails._expint_cf = recorded
+    tails._LADDERS.clear()
     try:
         tails.profile_tails(*args)
     finally:
@@ -140,6 +155,8 @@ def _measure(index: int) -> dict:
             "X": plan.xi_max, "M": plan.M,
             "profile_tails_s": {"median": statistics.median(times), "q1": q1, "q3": q3,
                                 "min": min(times), "calls": CALLS},
+            "profile_tails_warm_s": {"median": statistics.median(warm[1:]),
+                                     "min": min(warm[1:]), "calls": CALLS - 1},
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "call_peak_mb": call_peak / 2.0 ** 20,
             "continued_fractions": {"count": int(z.size),
@@ -154,8 +171,9 @@ def run(path: str) -> None:
         child = subprocess.run([sys.executable, __file__, "case", str(i)], check=True,
                                capture_output=True, text=True)
         rec = json.loads(child.stdout)
-        t = rec["profile_tails_s"]
-        print(f"{t['median'] * 1e3:8.2f} ms  {rec['peak_rss_mb']:6.1f} MB  "
+        t, w = rec["profile_tails_s"], rec["profile_tails_warm_s"]
+        print(f"{t['median'] * 1e3:8.2f} ms  {w['median'] * 1e3:8.3f} ms warm  "
+              f"{rec['peak_rss_mb']:6.1f} MB  "
               f"{rec['continued_fractions']['count']:5d} CF  {rec['case']}", flush=True)
         out.append(rec)
     env = {"python": platform.python_version(), "numpy": np.__version__,
@@ -176,8 +194,11 @@ def combine(parent: list[str], change: list[str], compare_txt: str | None = None
             recs = [r["cases"][i] for r in runs]
             assert all(r["case"] == case["case"] for r in recs), "the files hold different cases"
             per_run = [r["profile_tails_s"]["median"] * 1e3 for r in recs]
+            warm = [r["profile_tails_warm_s"]["median"] * 1e3
+                    for r in recs if "profile_tails_warm_s" in r]
             row[side] = {"profile_tails_ms": round(statistics.median(per_run), 3),
                          "per_run_ms": [round(t, 3) for t in per_run],
+                         "warm_ms": round(statistics.median(warm), 4) if warm else None,
                          "peak_rss_mb": max(r["peak_rss_mb"] for r in recs),
                          "call_peak_mb": round(max(r["call_peak_mb"] for r in recs), 3),
                          "first_run": recs[0]}
